@@ -13,6 +13,7 @@ import time
 from curvetorsion import (
     DivisorClass,
     EllipticChart,
+    GeometryCache,
     HomogeneousPoly,
     PicardContext,
     PlaneCurve,
@@ -80,4 +81,5 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    with GeometryCache():
+        sys.exit(main())

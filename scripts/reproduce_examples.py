@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 from curvetorsion import (
+    GeometryCache,
     HomogeneousPoly,
     Part,
     PlaneCurve,
@@ -134,4 +135,5 @@ def _json_safe(obj):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    with GeometryCache():
+        sys.exit(main())

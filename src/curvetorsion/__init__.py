@@ -29,6 +29,7 @@ from .covers import (
     splitting_table,
 )
 from .curves import (
+    GeometryCache,
     IntersectionDivisor,
     PlaneCurve,
     ProjPointCluster,
@@ -58,6 +59,7 @@ __all__ = [
     "Decomposition",
     "DivisorClass",
     "EllipticChart",
+    "GeometryCache",
     "HomogeneousPoly",
     "IntersectionDivisor",
     "NumberField",

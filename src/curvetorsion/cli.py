@@ -26,6 +26,7 @@ from .curvefile import (
 from .curves import (
     CertificationError,
     CommonComponentError,
+    GeometryCache,
     GeometryError,
     PlaneCurve,
     ShearExhaustedError,
@@ -282,12 +283,11 @@ def cmd_certify_all(args):
     text, name = _read_file(args.file)
     cf = loads_curve_file(text)
     names = [s.name for s in cf.decompositions]
+    decs = [cf.decomposition(n, rng_seed=args.seed, smooth_trials=args.trials) for n in names]
     rows = []
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            dec1 = cf.decomposition(names[i], rng_seed=args.seed, smooth_trials=args.trials)
-            dec2 = cf.decomposition(names[j], rng_seed=args.seed, smooth_trials=args.trials)
-            report = certify(dec1, dec2, max_sweep=args.max_sweep, rng_seed=args.seed)
+            report = certify(decs[i], decs[j], max_sweep=args.max_sweep, rng_seed=args.seed)
             rows.append({"pair": [names[i], names[j]], **_certify_results(report)})
     rep = _report("certify-all", _hash_inputs(text, name), {"seed": args.seed}, {"pairs": rows}, t0)
     if not args.json:
@@ -405,7 +405,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code, report = COMMANDS[args.command](args)
+        with GeometryCache():
+            code, report = COMMANDS[args.command](args)
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         return code

@@ -97,11 +97,7 @@ def comb_type(components, rng_seed: int = 0) -> CombType:
 
 
 def _require_smooth(c: PlaneCurve):
-    verdict = getattr(c, "_smooth_verdict", None)
-    if verdict is None or not verdict.is_smooth:
-        verdict = check_smooth(c)
-        c._smooth_verdict = verdict
-    if not verdict.is_smooth:
+    if not check_smooth(c).is_smooth:
         raise CombinatoricsError(
             f"component {c.name or c.equation.text()} is not certified smooth; "
             "arrangements with singular components are out of scope"

@@ -81,11 +81,9 @@ def verify_type(d: PlaneCurve, c: PlaneCurve, rng_seed: int = 0, trials: int = 8
     if d.degree > c.degree:
         failures.append(f"degree order violated: deg D = {d.degree} > deg C = {c.degree}")
     vd = check_smooth(d, trials=trials, rng_seed=rng_seed)
-    d._smooth_verdict = vd
     if not vd.is_smooth:
         failures.append(f"D is not certified smooth ({vd.kind})")
     vc = check_smooth(c, trials=trials, rng_seed=rng_seed)
-    c._smooth_verdict = vc
     if not vc.is_smooth:
         failures.append(f"C is not certified smooth ({vc.kind})")
     if failures:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .covers import Decomposition, Part
 from .curves import PlaneCurve
-from .fields import NumberField
+from .fields import FieldError, NumberField
 from .parsing import ParseError, parse_min_poly, parse_poly
 
 
@@ -137,36 +137,59 @@ def loads_curve_file(text: str) -> CurveFile:
     field = None
     if "field" in raw and raw["field"] is not None:
         spec = raw["field"]
+        if not isinstance(spec, dict):
+            raise CurveFileError("field block must be a JSON object")
         symbol = spec.get("generator", "t")
+        if not isinstance(symbol, str):
+            raise CurveFileError("field generator must be a string")
         if symbol in ("x", "y", "z"):
             raise CurveFileError("field generator may not shadow x, y, z")
+        if not isinstance(spec.get("min_poly"), str):
+            raise CurveFileError("bad field block: min_poly must be a string")
         try:
             mp = parse_min_poly(spec["min_poly"], symbol)
-        except (KeyError, ParseError) as e:
+        except ParseError as e:
             raise CurveFileError(f"bad field block: {e}") from e
         if mp.degree < 1 or mp.lc != 1:
             raise CurveFileError("minimal polynomial must be monic of degree >= 1")
-        field = NumberField(mp.coeffs, symbol=symbol)
+        try:
+            field = NumberField(mp.coeffs, symbol=symbol)
+        except FieldError as e:
+            raise CurveFileError(f"bad field block: {e}") from e
     curves = {}
+    if not isinstance(raw.get("curves", []), list):
+        raise CurveFileError("curves must be a JSON list")
     for entry in raw.get("curves", []):
+        if not isinstance(entry, dict):
+            raise CurveFileError("every curve must be a JSON object")
         name = entry.get("name")
         if not name or not isinstance(name, str):
             raise CurveFileError("every curve needs a nonempty name")
         if name in curves:
             raise CurveFileError(f"duplicate curve name {name!r}")
+        if "poly" not in entry:
+            raise CurveFileError(f"curve {name!r} has no polynomial")
+        if not isinstance(entry["poly"], str):
+            raise CurveFileError(f"curve {name!r}: poly must be a string")
         try:
             poly = parse_poly(entry["poly"], field)
-        except KeyError as e:
-            raise CurveFileError(f"curve {name!r} has no polynomial") from e
         except ParseError as e:
             raise CurveFileError(f"curve {name!r}: {e}") from e
         curves[name] = PlaneCurve(poly, name)
     decomps = []
+    if not isinstance(raw.get("decompositions", []), list):
+        raise CurveFileError("decompositions must be a JSON list")
     for entry in raw.get("decompositions", []):
+        if not isinstance(entry, dict):
+            raise CurveFileError("every decomposition must be a JSON object")
         name = entry.get("name", "")
         smooth = entry.get("smooth")
         parts = entry.get("parts", [])
-        if smooth not in curves:
+        if not isinstance(parts, list) or not all(
+            isinstance(g, list) and all(isinstance(c, str) for c in g) for g in parts
+        ):
+            raise CurveFileError(f"decomposition {name!r}: parts must be lists of curve names")
+        if not isinstance(smooth, str) or smooth not in curves:
             raise CurveFileError(f"decomposition {name!r}: unknown smooth component {smooth!r}")
         seen = set()
         for group in parts:

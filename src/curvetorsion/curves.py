@@ -8,10 +8,14 @@ multiplicities are exact; every divisor satisfies the Bezout total.
 
 The same machinery runs over a number field base when every intersection
 point is rational over that field (towers of extensions are not supported).
+
+`intersect`, `check_smooth` and `local_param` are pure functions of their
+inputs; inside a `GeometryCache` scope their certified results are reused.
 """
 
 from __future__ import annotations
 
+import contextvars
 import random
 from fractions import Fraction
 
@@ -45,6 +49,47 @@ class VanishesOnCurveError(GeometryError):
 
 class CertificationError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
+
+
+class GeometryCache:
+    """Certified results of `intersect`, `check_smooth` and `local_param`.
+
+    Entering the cache as a context manager makes it the one those functions
+    use in the current context; outside every scope nothing is cached.  Only
+    results whose checks passed are stored, never an exception:
+
+    - intersections: divisors that passed the Bezout total and the valuation
+      cross-check, keyed by (D equation, C equation, seed, max shears);
+    - verdicts: 'smooth' or 'singular' verdicts keyed by equation.  Both are
+      proofs whatever the seed; 'unknown' is recomputed with the caller's
+      trials and seed;
+    - branches: the longest re-substitution-checked coefficient list per
+      (D equation, cluster); a request for a lower order is served by
+      truncating it.
+
+    `hits` and `misses` count lookups per map.
+    """
+
+    MAPS = ("intersections", "verdicts", "branches")
+
+    def __init__(self):
+        self.intersections = {}
+        self.verdicts = {}
+        self.branches = {}
+        self.hits = dict.fromkeys(self.MAPS, 0)
+        self.misses = dict.fromkeys(self.MAPS, 0)
+        self._token = None
+
+    def __enter__(self):
+        self._token = _ACTIVE_CACHE.set(self)
+        return self
+
+    def __exit__(self, *exc_info):
+        _ACTIVE_CACHE.reset(self._token)
+        return False
+
+
+_ACTIVE_CACHE = contextvars.ContextVar("curvetorsion_geometry_cache", default=None)
 
 
 IDENTITY_SHEAR = (
@@ -91,7 +136,6 @@ class PlaneCurve:
         self.reduced_flag = self._certify_reduced() if check_reduced else False
         if check_reduced and not self.reduced_flag:
             raise GeometryError(f"equation of {name or 'curve'} has a repeated component")
-        self._smooth_verdict = None
 
     @property
     def degree(self):
@@ -393,6 +437,7 @@ def intersect(d: PlaneCurve, c: PlaneCurve, rng_seed: int = 0, max_shears: int =
     factor of multiplicity m yields one cluster of local multiplicity m,
     cross-checked afterwards by an independent valuation computation.
     """
+    key = (d.equation, c.equation, rng_seed, max_shears)
     field = d.field
     if c.field != field:
         if c.field == QQ:
@@ -402,6 +447,22 @@ def intersect(d: PlaneCurve, c: PlaneCurve, rng_seed: int = 0, max_shears: int =
             field = c.field
         else:
             raise FieldError("curves over incompatible fields")
+    cache = _ACTIVE_CACHE.get()
+    if cache is None:
+        return _intersect_by_shears(d, c, rng_seed, max_shears)
+    cached = cache.intersections.get(key)
+    if cached is not None:
+        cache.hits["intersections"] += 1
+        return IntersectionDivisor(d, c, cached.clusters, cached.shear)
+    cache.misses["intersections"] += 1
+    divisor = _intersect_by_shears(d, c, rng_seed, max_shears)
+    cache.intersections[key] = divisor
+    return divisor
+
+
+def _intersect_by_shears(d, c, rng_seed, max_shears):
+    """The uncached body of `intersect`, for D and C over one field."""
+    field = d.field
     if c.equation.divisible_by(d.equation) or d.equation.divisible_by(c.equation):
         raise CommonComponentError("curves share a component")
     d0, d1 = d.degree, c.degree
@@ -499,7 +560,19 @@ class LocalParam:
 
 
 def local_param(d: PlaneCurve, cluster: ProjPointCluster, order: int) -> LocalParam:
-    """Newton lifting of the branch of D through the cluster, exact to s^order."""
+    """Newton lifting of the branch of D through the cluster, exact to s^order.
+
+    Coefficient k depends only on the ones before it, so a cached branch of
+    at least this order is truncated.
+    """
+    cache = _ACTIVE_CACHE.get()
+    if cache is not None:
+        key = (d.equation, cluster.x_minpoly, cluster.y_rep, cluster.shear, cluster.base_field)
+        stored = cache.branches.get(key, ())
+        if len(stored) > order:
+            cache.hits["branches"] += 1
+            return LocalParam(cluster, order, stored[: order + 1])
+        cache.misses["branches"] += 1
     field = cluster.field
     fa = _shear_polys(d.equation, cluster.shear)
     if fa.field != field:
@@ -530,6 +603,8 @@ def local_param(d: PlaneCurve, cluster: ProjPointCluster, order: int) -> LocalPa
     resid = eval_form_on_series(fa, sx, sy, sz)
     if resid.valuation() is not None:
         raise CertificationError("re-substitution of the local series does not vanish")
+    if cache is not None:
+        cache.branches[key] = param.y_coeffs
     return param
 
 
@@ -596,9 +671,23 @@ def check_smooth(c: PlaneCurve, trials: int = 8, rng_seed: int = 0) -> Smoothnes
     under every such projection, so a squarefree discriminant is a proof.
     A singular verdict always carries an explicit witness where the whole
     gradient vanishes.  If neither certificate is found the verdict is
-    'unknown'.
+    'unknown'.  A verdict served from the cache reports no trials used.
     """
-    f = c.equation
+    cache = _ACTIVE_CACHE.get()
+    if cache is None:
+        return _check_smooth(c.equation, trials, rng_seed)
+    cached = cache.verdicts.get(c.equation)
+    if cached is not None:
+        cache.hits["verdicts"] += 1
+        return SmoothnessVerdict(cached.kind, cached.certificate, cached.witness)
+    cache.misses["verdicts"] += 1
+    verdict = _check_smooth(c.equation, trials, rng_seed)
+    if verdict.kind != "unknown":
+        cache.verdicts[c.equation] = verdict
+    return verdict
+
+
+def _check_smooth(f, trials, rng_seed):
     d = f.degree
     if d == 1:
         return SmoothnessVerdict("smooth", certificate={"reason": "degree 1"})

@@ -49,11 +49,7 @@ class EllipticChart:
     def __init__(self, cubic: PlaneCurve, origin):
         if cubic.degree != 3:
             raise GeometryError("elliptic chart needs a cubic")
-        verdict = getattr(cubic, "_smooth_verdict", None)
-        if verdict is None or not verdict.is_smooth:
-            verdict = check_smooth(cubic)
-            cubic._smooth_verdict = verdict
-        if not verdict.is_smooth:
+        if not check_smooth(cubic).is_smooth:
             raise GeometryError("cubic is not certified smooth")
         self.cubic = cubic
         self.origin = normalize_point(origin)

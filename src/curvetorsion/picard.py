@@ -37,10 +37,7 @@ class PicardContext:
     """A certified-smooth curve D with the line-section reference class."""
 
     def __init__(self, d: PlaneCurve, trials: int = 8, rng_seed: int = 0):
-        verdict = getattr(d, "_smooth_verdict", None)
-        if verdict is None or not verdict.is_smooth:
-            verdict = check_smooth(d, trials=trials, rng_seed=rng_seed)
-            d._smooth_verdict = verdict
+        verdict = check_smooth(d, trials=trials, rng_seed=rng_seed)
         if not verdict.is_smooth:
             raise PicardError(
                 f"curve {d.name or d.equation.text()} is not certified smooth ({verdict.kind})"

@@ -1,6 +1,7 @@
 import pytest
 
 from curvetorsion import (
+    GeometryCache,
     HomogeneousPoly,
     PlaneCurve,
     artal_arrangement,
@@ -13,6 +14,13 @@ from curvetorsion import (
 
 def form(terms):
     return HomogeneousPoly.from_terms(terms)
+
+
+@pytest.fixture(autouse=True)
+def geometry_cache():
+    """Every test runs inside its own cache scope, as each CLI request does."""
+    with GeometryCache() as cache:
+        yield cache
 
 
 @pytest.fixture(scope="session")

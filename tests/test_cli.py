@@ -1,8 +1,12 @@
+import contextvars
 import json
+from pathlib import Path
 
 import pytest
 
-from curvetorsion.cli import main
+from curvetorsion import cli
+from curvetorsion.cli import COMMANDS, build_parser, main
+from curvetorsion.curves import GeometryCache
 
 ARTAL = json.dumps(
     {
@@ -170,3 +174,62 @@ def test_verify_type_over_degree_four_field(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert rep["results"]["type"] == [1, 2, 1, 1]
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_curves"
+
+
+def _sample_requests():
+    for path in sorted(SAMPLES.glob("*.json")):
+        decs = [d["name"] for d in json.loads(path.read_text()).get("decompositions", [])]
+        if not decs:
+            continue
+        f = str(path)
+        yield ["certify-all", f]
+        if len(decs) > 1:
+            yield ["certify", f, decs[0], decs[-1]]
+        yield ["torsion", f, decs[0]]
+        yield ["group", f, decs[0]]
+
+
+@pytest.mark.parametrize("argv", list(_sample_requests()), ids=lambda a: f"{a[0]}-{Path(a[1]).stem}")
+def test_results_identical_with_and_without_cache(argv, capsys):
+    argv = argv + ["--json", "--seed", "5"]
+    code = main(argv)
+    cached = json.loads(capsys.readouterr().out)["results"]
+    args = build_parser().parse_args(argv)
+    # a fresh context has no cache scope, not even the one each test opens
+    uncached_code, report = contextvars.Context().run(COMMANDS[args.command], args)
+    assert (code, cached) == (uncached_code, json.loads(json.dumps(report["results"])))
+
+
+@pytest.fixture()
+def recorded_caches(monkeypatch):
+    """The caches that cli.main opens, in order."""
+    opened = []
+
+    class Recording(GeometryCache):
+        def __enter__(self):
+            opened.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(cli, "GeometryCache", Recording)
+    return opened
+
+
+def test_certify_all_computes_each_intersection_once(recorded_caches, capsys):
+    assert main(["certify-all", str(SAMPLES / "quartic_sextic_tuple.json")]) == 0
+    (cache,) = recorded_caches
+    # one divisor per decomposition; every comb_type pair intersection is a repeat
+    assert cache.misses["intersections"] == 3
+    assert cache.hits["intersections"] == 6
+
+
+def test_consecutive_requests_share_no_cache(recorded_caches, artal_file, geometry_cache, capsys):
+    assert main(["torsion", artal_file, "collinear"]) == 0
+    assert main(["torsion", artal_file, "collinear"]) == 0
+    first, second = recorded_caches
+    assert first is not second
+    assert (first.hits, first.misses) == (second.hits, second.misses)
+    assert second.misses["intersections"] > 0
+    assert geometry_cache.hits == geometry_cache.misses == dict.fromkeys(GeometryCache.MAPS, 0)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from curvetorsion.cli import main
 from curvetorsion.curvefile import (
     CurveFileError,
     curve_file_for_decompositions,
@@ -103,3 +104,34 @@ def test_name_collisions_across_decompositions(chain_4661, pair_4663):
     assert reloaded.decomposition("a").n == 6
     assert reloaded.decomposition("b").n == 6
     assert reloaded.decomposition("b").order_tuple() == (3,)
+
+
+NF = {"generator": "r", "min_poly": "r^2 + 1"}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"field": dict(NF, min_poly="r^2-1")}, "reducible"),
+        ({"field": dict(NF, min_poly=3)}, "min_poly must be a string"),
+        ({"field": dict(NF, generator=3)}, "generator must be a string"),
+        ({"field": 3}, "field block must be a JSON object"),
+        ({"curves": [{"name": "E", "poly": 3}]}, "poly must be a string"),
+        ({"curves": [3]}, "every curve must be a JSON object"),
+        ({"curves": 3}, "curves must be a JSON list"),
+        ({"decompositions": 3}, "decompositions must be a JSON list"),
+        ({"decompositions": [3]}, "every decomposition must be a JSON object"),
+        ({"decompositions": [{"name": "d", "smooth": ["E"], "parts": [["T1"]]}]}, "unknown smooth"),
+        ({"decompositions": [{"name": "d", "smooth": "E", "parts": 3}]}, "parts must be lists"),
+        ({"decompositions": [{"name": "d", "smooth": "E", "parts": [[["T1"]]]}]}, "parts must be lists"),
+    ],
+)
+def test_malformed_fields_are_input_errors(tmp_path, capsys, changes, message):
+    data = dict(BASIC, **changes)
+    with pytest.raises(CurveFileError, match=message):
+        loads_curve_file(json.dumps(data))
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    # an exception escaping main would fail the test before these asserts
+    assert main(["torsion", str(p), "collinear"]) == 3
+    assert "Traceback" not in capsys.readouterr().err

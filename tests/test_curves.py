@@ -1,3 +1,4 @@
+import contextvars
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from curvetorsion.curves import (
     CommonComponentError,
     GeometryError,
     PlaneCurve,
+    ProjPointCluster,
     VanishesOnCurveError,
     check_smooth,
     cluster_from_point,
@@ -203,3 +205,43 @@ def test_crossing_lines_are_singular():
     assert v.kind == "singular"
     x, y, z = v.witness["point"]
     assert x == 0 and y == 0 and z != 0
+
+
+def _fresh(fn, *args):
+    """fn(*args) outside every cache scope."""
+    return contextvars.Context().run(fn, *args)
+
+
+def test_cached_branch_is_truncated_or_relifted_like_a_fresh_lift(geometry_cache):
+    e = PlaneCurve(FERMAT, "E")
+    c = curve({(2, 0, 0): 1, (0, 1, 1): 1}, "C")
+    cl = next(cl for cl, _ in intersect(e, c, rng_seed=5).clusters if cl.size > 1)
+    # an equal cluster built anew: the cache is keyed by value, not identity
+    twin = ProjPointCluster(cl.base_field, cl.x_minpoly, cl.y_rep, cl.shear)
+    local_param(e, cl, 9)
+    hits = geometry_cache.hits["branches"]
+    assert local_param(e, twin, 4).y_coeffs == _fresh(local_param, e, twin, 4).y_coeffs
+    assert geometry_cache.hits["branches"] == hits + 1
+    assert local_param(e, twin, 12).y_coeffs == _fresh(local_param, e, twin, 12).y_coeffs
+    local_param(e, cl, 12)  # the longer lift replaced the stored branch
+    assert geometry_cache.hits["branches"] == hits + 2
+
+
+def test_only_certified_verdicts_are_cached(geometry_cache):
+    e = PlaneCurve(FERMAT, "E")
+    assert check_smooth(e, trials=0).kind == "unknown"
+    assert e.equation not in geometry_cache.verdicts
+    assert check_smooth(e).is_smooth
+    served = check_smooth(e, trials=0)
+    assert served.is_smooth and served.trials_used == 0
+    assert geometry_cache.hits["verdicts"] == 1
+
+
+def test_cached_intersection_carries_the_callers_curves(geometry_cache):
+    d = curve({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -5}, "D")
+    c = curve({(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1, (2, 0, 1): -3}, "C")
+    first = intersect(d, c, rng_seed=1)
+    again = intersect(PlaneCurve(d.equation, "D2"), c, rng_seed=1)
+    assert geometry_cache.hits["intersections"] == 1
+    assert again.on_curve.name == "D2"
+    assert again.clusters == first.clusters
