@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from .combinatorics import CombinatoricsError, certify
+from .combinatorics import certify
 from .covers import CoverError, relation_lattice, splitting_table
 from .curvefile import (
     CurveFileError,
@@ -25,7 +25,6 @@ from .curvefile import (
 )
 from .curves import (
     CertificationError,
-    CommonComponentError,
     GeometryCache,
     GeometryError,
     PlaneCurve,
@@ -393,8 +392,7 @@ INPUT_ERRORS = (
     CurveFileError,
     CoverError,
     PicardError,
-    CombinatoricsError,
-    CommonComponentError,
+    GeometryError,
     FileNotFoundError,
     IsADirectoryError,
 )
@@ -414,9 +412,6 @@ def main(argv=None):
         print(f"certification failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except INPUT_ERRORS as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except GeometryError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -28,6 +28,7 @@ from .curves import (
 from .elliptic import EllipticChart, normalize_point
 from .fields import QQ, AlgNum
 from .homopoly import HomogeneousPoly, hessian_det, monomials
+from .linalg import det3
 from .picard import DivisorClass, PicardContext, is_principal, torsion_order
 
 
@@ -240,12 +241,7 @@ def _lines_not_concurrent(lines):
         rows.append(
             [ll.coeff((1, 0, 0)), ll.coeff((0, 1, 0)), ll.coeff((0, 0, 1))]
         )
-    det = (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
-    return not field.is_zero(field.coerce(det))
+    return not field.is_zero(field.coerce(det3(rows)))
 
 
 def artal_arrangement(cubic: PlaneCurve, collinear: bool, rng_seed: int = 0) -> Decomposition:
@@ -322,13 +318,7 @@ def _to_rational(form: HomogeneousPoly) -> HomogeneousPoly:
 
 def _triple_collinear(triple) -> bool:
     if len(triple) == 3:
-        rows = [normalize_point(cl.center()) for cl in triple]
-        det = (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
-        return det == 0
+        return _rational_collinear([cl.center() for cl in triple])
     single, pair = triple
     field = pair.field
     if field.degree != 2:
@@ -336,12 +326,7 @@ def _triple_collinear(triple) -> bool:
     p1 = [field.coerce(Fraction(c) if not isinstance(c, AlgNum) else c) for c in single.center()]
     p2 = list(pair.center())
     p3 = [field.conjugate(c) for c in p2]
-    det = (
-        p1[0] * (p2[1] * p3[2] - p2[2] * p3[1])
-        - p1[1] * (p2[0] * p3[2] - p2[2] * p3[0])
-        + p1[2] * (p2[0] * p3[1] - p2[1] * p3[0])
-    )
-    return field.is_zero(det)
+    return field.is_zero(det3([p1, p2, p3]))
 
 
 @dataclass
@@ -597,13 +582,7 @@ def _verify_4663_obstructions(pair: TypedPair, pts, f3):
 
 
 def _rational_collinear(pts):
-    rows = [normalize_point(p) for p in pts]
-    det = (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
-    return det == 0
+    return det3([normalize_point(p) for p in pts]) == 0
 
 
 def _conic_through_tangent_origin(chart: EllipticChart, pts):

@@ -24,7 +24,7 @@ from .homopoly import HomogeneousPoly
 from .linalg import det_int
 from .qpoly import factor_rational, squarefree_q
 from .series import TruncSeries, eval_form_on_series
-from .unipoly import UniPoly, gcd as poly_gcd, lagrange_interpolate, resultant
+from .unipoly import UniPoly, _zz_resultant, gcd as poly_gcd
 
 
 class GeometryError(ValueError):
@@ -385,29 +385,9 @@ def _shear_polys(f, shear):
     return f.linear_change(shear)
 
 
-def _resultant_in_x(fa, ga, d0, d1):
-    """Res_y of the z = 1 slices, as a univariate polynomial in x.
-
-    Both inputs must have full y-degree with constant leading coefficient,
-    which makes the specialization x = x0 commute with the resultant.
-    Computed by evaluation at d0*d1 + 1 points and Lagrange interpolation.
-    """
-    field = fa.field
-    n = d0 * d1
-    xs = []
-    k = 0
-    while len(xs) < n + 1:
-        xs.append(Fraction(k))
-        if k > 0:
-            xs.append(Fraction(-k))
-        k += 1
-    xs = xs[: n + 1]
-    points = []
-    for x0 in xs:
-        u = fa.as_unipoly_in_y(x_value=field.coerce(x0))
-        v = ga.as_unipoly_in_y(x_value=field.coerce(x0))
-        points.append((x0, resultant(u, v)))
-    return lagrange_interpolate(points, field)
+def _slice(f, i):
+    """f with the other of y, z set to 1, as {(exponent of variable i, exponent of x): c}."""
+    return {(e[i], e[0]): c for e, c in f.terms.items()}
 
 
 def _fiber_gcd(fa, ga, theta, field):
@@ -433,9 +413,11 @@ def intersect(d: PlaneCurve, c: PlaneCurve, rng_seed: int = 0, max_shears: int =
     A random coordinate shear is retried until every intersection point lies
     in the affine chart z = 1, has an x-coordinate separating it from all
     other points, and D has a usable vertical tangent chart there.  The
-    x-coordinates come from factoring the y-resultant; each irreducible
-    factor of multiplicity m yields one cluster of local multiplicity m,
-    cross-checked afterwards by an independent valuation computation.
+    x-coordinates come from factoring the y-resultant of the z = 1 slices,
+    one bivariate resultant over the integers (`unipoly._zz_resultant`); each
+    irreducible factor of multiplicity m yields one cluster of local
+    multiplicity m, cross-checked afterwards by an independent valuation
+    computation.
     """
     key = (d.equation, c.equation, rng_seed, max_shears)
     field = d.field
@@ -478,7 +460,7 @@ def _intersect_by_shears(d, c, rng_seed, max_shears):
         if field.is_zero(ga.coeff((0, d1, 0))):
             last_reason = "projection center on C"
             continue
-        r = _resultant_in_x(fa, ga, d0, d1)
+        r = _zz_resultant(_slice(fa, 1), _slice(ga, 1), field)
         if r.is_zero():
             raise CommonComponentError("curves share a component (vanishing resultant)")
         if r.degree != d0 * d1:
@@ -698,16 +680,14 @@ def _check_smooth(f, trials, rng_seed):
         fa = _shear_polys(f, shear)
         if fa.field.is_zero(fa.coeff((0, 0, d))):
             continue
-        disc = _disc_in_x(fa, d)
-        if disc is None:
-            continue
+        disc = _zz_resultant(_slice(fa, 2), _slice(fa.diff(2), 2), fa.field)
         if disc.degree == n and _squarefree_over(disc):
             return SmoothnessVerdict(
                 "smooth",
                 certificate={"shear": shear, "disc_degree": n},
                 trials_used=attempt + 1,
             )
-        witness = _singular_witness(fa, shear)
+        witness = _singular_witness(fa, shear, disc)
         if witness is not None:
             return SmoothnessVerdict("singular", witness=witness, trials_used=attempt + 1)
     return SmoothnessVerdict("unknown", trials_used=trials)
@@ -717,26 +697,6 @@ def _squarefree_over(p: UniPoly) -> bool:
     if p.field == QQ:
         return squarefree_q(p)
     return poly_gcd(p, p.derivative()).degree == 0
-
-
-def _disc_in_x(fa, d):
-    """Res_z(fa(x,1,z), d/dz fa(x,1,z)) by interpolation; None if degenerate."""
-    field = fa.field
-    fz = fa.diff(2)
-    n = d * (d - 1)
-    pts = []
-    k = 0
-    while len(pts) < n + 1:
-        for x0 in ([Fraction(k)] if k == 0 else [Fraction(k), Fraction(-k)]):
-            if len(pts) == n + 1:
-                break
-            u = _slice_y1(fa, field.coerce(x0))
-            v = _slice_y1(fz, field.coerce(x0))
-            if u.degree != d or v.degree != d - 1:
-                return None
-            pts.append((x0, resultant(u, v)))
-        k += 1
-    return lagrange_interpolate(pts, field)
 
 
 def _slice_y1(f, x0):
@@ -750,30 +710,13 @@ def _slice_y1(f, x0):
     return UniPoly(field, [coeffs.get(i, field.zero) for i in range(n)])
 
 
-def _singular_witness(fa, shear):
-    """Look for a common zero of the gradient in the current chart."""
-    field = fa.field
-    if field != QQ:
+def _singular_witness(fa, shear, disc):
+    """Look for a common zero of the gradient over a repeated factor of the
+    z-discriminant `disc` in the current chart."""
+    if fa.field != QQ or disc.is_zero():
         return None
-    d = fa.degree
     fz = fa.diff(2)
-    pts = []
-    n = d * (d - 1)
-    k = 0
-    while len(pts) < n + 1:
-        for x0 in ([Fraction(k)] if k == 0 else [Fraction(k), Fraction(-k)]):
-            if len(pts) == n + 1:
-                break
-            u = _slice_y1(fa, Fraction(x0))
-            v = _slice_y1(fz, Fraction(x0))
-            if u.is_zero() or v.is_zero():
-                return None
-            pts.append((x0, resultant(u, v)))
-        k += 1
-    r = lagrange_interpolate(pts, QQ)
-    if r.is_zero():
-        return None
-    _, factors = factor_rational(r)
+    _, factors = factor_rational(disc)
     for p, mult in factors:
         if mult < 2:
             continue
@@ -782,19 +725,12 @@ def _singular_witness(fa, shear):
         else:
             work_field = NumberField(p.coeffs, symbol="r", trusted=True)
             theta = work_field.gen
-        u = UniPoly(work_field, [work_field.coerce(cf) for cf in _slice_y1(fa, theta).coeffs])
-        v = UniPoly(work_field, [work_field.coerce(cf) for cf in _slice_y1(fz, theta).coeffs])
-        g = poly_gcd(u, v)
+        g = poly_gcd(_slice_y1(fa.to_field(work_field), theta), _slice_y1(fz.to_field(work_field), theta))
         if g.degree != 1:
             continue
         z0 = -(g.coeffs[0] / g.coeffs[1])
-        pt = (theta, work_field.one if work_field != QQ else Fraction(1), z0)
-        grads = [fa.diff(i) for i in range(3)]
-        vals = []
-        for gr in grads:
-            gg = gr if work_field == QQ else gr.to_field(work_field)
-            vals.append(gg.eval(pt))
-        if all(work_field.is_zero(v) for v in vals):
+        pt = (theta, work_field.one, z0)
+        if all(work_field.is_zero(fa.diff(i).to_field(work_field).eval(pt)) for i in range(3)):
             original = apply_shear_to_vector(shear, pt)
             return {"shear": shear, "chart_point": pt, "point": original, "field": work_field}
     return None

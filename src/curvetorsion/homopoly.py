@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import QQ, AlgNum, common_field
+from .linalg import det3
 from .unipoly import UniPoly
 
 VARS = ("x", "y", "z")
@@ -323,19 +324,7 @@ def _coeff_text(c):
 
 def hessian_det(f: HomogeneousPoly) -> HomogeneousPoly:
     """Determinant of the matrix of second partials (a form of degree 3(d-2))."""
-    h = [[f.diff(i).diff(j) for j in range(3)] for i in range(3)]
-    det = HomogeneousPoly.zero(f.field)
-    for (i, j, k), sign in (
-        ((0, 1, 2), 1),
-        ((1, 2, 0), 1),
-        ((2, 0, 1), 1),
-        ((0, 2, 1), -1),
-        ((2, 1, 0), -1),
-        ((1, 0, 2), -1),
-    ):
-        term = h[0][i] * h[1][j] * h[2][k]
-        det = det + (term if sign == 1 else -term)
-    return det
+    return det3([[f.diff(i).diff(j) for j in range(3)] for i in range(3)])
 
 
 def euler_check(f: HomogeneousPoly) -> bool:

@@ -221,6 +221,16 @@ def hermite_normal_form(matrix, ncols):
     return tuple(tuple(row) for row in rows[:r])
 
 
+def det3(rows):
+    """Determinant of a 3x3 matrix by cofactor expansion along the first row.
+
+    Only +, - and * are used, so the entries may come from any commutative
+    ring: Fraction, AlgNum or HomogeneousPoly.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def det_int(matrix):
     """Determinant of a square integer matrix (Bareiss)."""
     _check_rect(matrix)

@@ -3,46 +3,31 @@
 For squarefree f over K = Q[t]/(m) pick a small integer shift s so that the
 norm N(x) = Res_t(m(t), f(x - s*t)) is squarefree over Q; then the factors
 of f over K are the gcds of f with the rational factors of N shifted back.
+The norm is one bivariate resultant over the integers (`unipoly._zz_resultant`).
 Only single extensions of Q are handled.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb
 
 from .fields import QQ, NumberField
 from .qpoly import factor_rational, squarefree_q
-from .unipoly import UniPoly, gcd as poly_gcd, lagrange_interpolate, resultant, squarefree_decomposition
-
-
-def _shifted_in_t(f: UniPoly, s: int, x0: Fraction) -> UniPoly:
-    """f(x0 - s*t) as a polynomial in t over Q, replacing coefficients by
-    their power-basis polynomials."""
-    K = f.field
-    lin = UniPoly(QQ, [Fraction(x0), Fraction(-s)])  # x0 - s*t
-    acc = UniPoly.zero(QQ)
-    power = UniPoly.const(1, QQ)
-    for i, c in enumerate(f.coeffs):
-        cpoly = UniPoly(QQ, list(c.coords))
-        acc = acc + cpoly * power
-        if i < len(f.coeffs) - 1:
-            power = power * lin
-    return acc
+from .unipoly import UniPoly, _zz_resultant, gcd as poly_gcd, squarefree_decomposition
 
 
 def _norm(f: UniPoly, s: int) -> UniPoly:
-    K = f.field
-    m = UniPoly(QQ, list(K.min_poly))
-    n = f.degree * K.degree
-    pts = []
-    k = 0
-    while len(pts) < n + 1:
-        for x0 in ([Fraction(0)] if k == 0 else [Fraction(k), Fraction(-k)]):
-            if len(pts) == n + 1:
-                break
-            pts.append((x0, resultant(m, _shifted_in_t(f, s, x0))))
-        k += 1
-    return lagrange_interpolate(pts, QQ)
+    """N(x) = Res_t(m(t), f(x - s*t)) over Q, each coefficient of f taken as
+    its power-basis polynomial in t."""
+    m = {(k, 0): c for k, c in enumerate(f.field.min_poly)}
+    shifted = {}
+    for i, c in enumerate(f.coeffs):
+        for l in range(i + 1):
+            b = comb(i, l) * (-s) ** l
+            for k, a in enumerate(c.coords):
+                if a and b:
+                    shifted[k + l, i - l] = shifted.get((k + l, i - l), 0) + a * b
+    return _zz_resultant(m, shifted, QQ)
 
 
 def factor_squarefree_over_field(f: UniPoly):

@@ -6,7 +6,12 @@ coefficient (the zero polynomial has an empty tuple and degree -1).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from sympy.polys.densebasic import dmp_from_dict
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_resultant
 
 from .fields import QQ, AlgNum, FieldError
 
@@ -228,9 +233,9 @@ def squarefree_part(p: UniPoly) -> UniPoly:
 def resultant(p: UniPoly, q: UniPoly):
     """Resultant with the Sylvester determinant convention.
 
-    Computed by fraction-free Bareiss elimination on the Sylvester matrix,
-    which stays exact over Q and over number fields.  Res(p, q) = 0 exactly
-    when p and q share a nonconstant common factor.
+    Computed by the integer resultant engine, exact over Q and over number
+    fields.  Res(p, q) = 0 exactly when p and q share a nonconstant common
+    factor.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("resultant of two zero polynomials is undefined")
@@ -239,52 +244,49 @@ def resultant(p: UniPoly, q: UniPoly):
         if other.degree <= 0:
             raise ValueError("resultant of a constant with the zero polynomial is undefined")
         return other.field.zero
-    n, m = p.degree, q.degree
-    if n == 0:
-        return p.coeffs[0] ** m
-    if m == 0:
-        return q.coeffs[0] ** n
     field = p.field if p.field != QQ else q.field
-    pc = [field.coerce(c) for c in p.coeffs]
-    qc = [field.coerce(c) for c in q.coeffs]
-    size = n + m
-    rows = []
-    for i in range(m):
-        row = [field.zero] * size
-        for j, c in enumerate(reversed(pc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [field.zero] * size
-        for j, c in enumerate(reversed(qc)):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_det(field, rows)
+    r = _zz_resultant(
+        {(i, 0): field.coerce(c) for i, c in enumerate(p.coeffs)},
+        {(i, 0): field.coerce(c) for i, c in enumerate(q.coeffs)},
+        field,
+    )
+    return r.coeffs[0] if r.coeffs else field.zero
 
 
-def _bareiss_det(field, rows):
-    """Determinant by Bareiss elimination with exact division."""
-    n = len(rows)
-    if n == 0:
-        return field.one
+def _zz_resultant(f, g, field):
+    """Res_v(f, g) as a UniPoly in x over the field, by subresultants over ZZ.
+
+    f and g map exponent pairs (i, j) of v^i x^j to elements of the field
+    (Q or a NumberField).  Denominators are cleared and, over a number field,
+    the power-basis coordinates of each coefficient become one more integer
+    variable t; sympy's `dmp_resultant` eliminates v over ZZ[x, t], and the
+    result is scaled back and reduced mod the minimal polynomial.  Both steps
+    are ring maps, so this is the Sylvester determinant over the field.
+    """
+    fz, lf, nf = _lift_to_zz(f, field)
+    gz, lg, ng = _lift_to_zz(g, field)
     sign = 1
-    prev = field.one
-    m = [row[:] for row in rows]
-    for k in range(n - 1):
-        if field.is_zero(m[k][k]):
-            pivot = next((i for i in range(k + 1, n) if not field.is_zero(m[i][k])), None)
-            if pivot is None:
-                return field.zero
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num / prev
-            m[i][k] = field.zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    if nf < ng:
+        # dmp_resultant is off by (-1)^(nf*ng) unless the first argument has
+        # the higher degree; Res(f, g) = (-1)^(nf*ng) Res(g, f).
+        fz, gz, sign = gz, fz, (-1) ** (nf * ng)
+    u = 1 if field == QQ else 2
+    r = dmp_resultant(dmp_from_dict(fz, u, ZZ), dmp_from_dict(gz, u, ZZ), u, ZZ)
+    scale = Fraction(sign, lf**ng * lg**nf)
+    if field == QQ:
+        return UniPoly(field, [c * scale for c in reversed(r)])
+    return UniPoly(field, [field.from_poly_coeffs([c * scale for c in reversed(ts)]) for ts in reversed(r)])
+
+
+def _lift_to_zz(f, field):
+    """(integer dict, common denominator, degree in v) of a polynomial dict."""
+    if field == QQ:
+        terms = {e: c for e, c in f.items() if c}
+    else:
+        terms = {e + (k,): a for e, c in f.items() for k, a in enumerate(c.coords) if a}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    lifted = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    return lifted, den, max((e[0] for e in lifted), default=0)
 
 
 def from_fraction_list(coeffs, field=QQ):
@@ -292,7 +294,10 @@ def from_fraction_list(coeffs, field=QQ):
 
 
 def lagrange_interpolate(points, field=QQ):
-    """Unique polynomial of degree < len(points) through (x_i, y_i)."""
+    """Unique polynomial of degree < len(points) through (x_i, y_i).
+
+    No resultant uses it any more; bench/tracer.py still wraps it by name.
+    """
     result = UniPoly.zero(field)
     xs = [field.coerce(x) for x, _ in points]
     for i, (_, yi) in enumerate(points):

@@ -12,6 +12,7 @@ from curvetorsion.unipoly import (
     gcd,
     lagrange_interpolate,
     resultant,
+    _zz_resultant,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -87,10 +88,40 @@ def test_resultant_derived_value():
         (P(1, 2, 3), P(4, 5)),
         (P(-1, 0, 0, 1), P(2, -3, 1)),
         (P(Fraction(1, 2), 1, 1, 1), P(5, 0, -2, 1)),
+        # deg p < deg q with deg p * deg q odd: the engine must swap and fix the sign
+        (P(-1, 1), P(-5, 0, 0, 1)),
+        (P(3, Fraction(2, 3)), P(1, 2, 0, -1, 0, 4)),
+        (P(1, 0, -2, 1), P(-1, 3, 0, 0, Fraction(1, 2), 1)),
     ],
 )
 def test_resultant_matches_companion_oracle(p, q):
     assert resultant(p, q) == companion_resultant(p, q)
+
+
+@pytest.mark.parametrize("field", [QQ, NumberField([-2, 0, 1])], ids=["QQ", "Q(sqrt2)"])
+def test_bivariate_resultant_specializes_to_the_companion_oracle(field):
+    # {(y exponent, x exponent): c} with constant leading y-coefficients, so
+    # setting x = x0 commutes with Res_y
+    w = field.gen if field != QQ else Fraction(1, 3)
+    pairs = [
+        ({(1, 0): 2, (0, 2): w, (0, 0): -1}, {(3, 0): 1, (2, 1): Fraction(1, 2), (1, 0): w, (0, 3): -3}),
+        ({(3, 0): Fraction(3, 2), (1, 2): w, (0, 1): 1}, {(5, 0): 1, (2, 2): -w, (0, 4): 1}),
+        ({(2, 0): 1, (1, 1): w, (0, 2): -2}, {(2, 0): 1, (1, 1): w, (0, 2): -2, (0, 0): 1}),
+    ]
+
+    def at(f, x0):
+        top = max(i for i, _ in f)
+        cs = [field.zero] * (top + 1)
+        for (i, j), c in f.items():
+            cs[i] = cs[i] + field.coerce(c) * x0**j
+        return UniPoly(field, cs)
+
+    for f, g in pairs:
+        res = _zz_resultant(
+            {e: field.coerce(c) for e, c in f.items()}, {e: field.coerce(c) for e, c in g.items()}, field
+        )
+        for x0 in (Fraction(0), Fraction(1), Fraction(-2), Fraction(5, 3)):
+            assert res.eval(field.coerce(x0)) == companion_resultant(at(f, x0), at(g, x0))
 
 
 def test_resultant_both_zero_is_an_error():

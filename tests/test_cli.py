@@ -118,6 +118,13 @@ def test_construct_artal_and_certify(tmp_path, capsys):
     assert rep["results"]["rule"] == "Cor (i)"
 
 
+def test_construct_artal_at_a_seed_with_a_singular_shear(capsys):
+    # the smoothness checks at this seed meet a discriminant with a repeated
+    # quadratic factor
+    assert main(["construct", "--recipe", "artal", "--seed", "558878"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_certify_identical_exits_two(artal_file, capsys):
     rc = main(["certify", artal_file, "collinear", "collinear"])
     assert rc == 2

@@ -19,6 +19,7 @@ from curvetorsion.curves import (
 )
 from curvetorsion.fields import QQ
 from curvetorsion.homopoly import HomogeneousPoly
+from curvetorsion.parsing import parse_poly
 from curvetorsion.series import eval_form_on_series
 
 
@@ -205,6 +206,18 @@ def test_crossing_lines_are_singular():
     assert v.kind == "singular"
     x, y, z = v.witness["point"]
     assert x == 0 and y == 0 and z != 0
+
+
+def test_witness_over_a_repeated_nonlinear_discriminant_factor():
+    # the two singular points (+-sqrt2 : 1 : 0) form one Galois orbit, so the
+    # witness lives over a quadratic field
+    quartic = PlaneCurve(parse_poly("(x^2 - 2*y^2)^2 + z^3*x"))
+    v = check_smooth(quartic)
+    assert v.kind == "singular"
+    field, point = v.witness["field"], v.witness["point"]
+    assert field.degree == 2
+    f = quartic.equation.to_field(field)
+    assert all(field.is_zero(f.diff(i).eval(point)) for i in range(3))
 
 
 def _fresh(fn, *args):
