@@ -22,7 +22,6 @@ from .construct import (
 from .covers import (
     Decomposition,
     Part,
-    build_decomposition,
     exponent_vectors,
     relation_lattice,
     splitting_number,
@@ -74,7 +73,6 @@ __all__ = [
     "UniPoly",
     "admissible",
     "artal_arrangement",
-    "build_decomposition",
     "build_type_4663",
     "certify",
     "check_smooth",

@@ -43,7 +43,7 @@ from .construct import (
 from .fields import QQ
 from .homopoly import HomogeneousPoly
 from .parsing import ParseError
-from .picard import PicardError, torsion_order
+from .picard import PicardError
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -190,9 +190,7 @@ def cmd_torsion(args):
         "n": dec.n,
         "degrees": list(dec.degrees),
         "orders": list(orders),
-        "witnesses": [
-            torsion_order(dec.classes[j], dec.n).witness.text() for j in range(dec.k)
-        ],
+        "witnesses": [dec.part_torsion(j).witness.text() for j in range(dec.k)],
     }
     rep = _report("torsion", _hash_inputs(text, name), {"seed": args.seed}, results, t0)
     if not args.json:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
 from .covers import CoverError, Decomposition, permuted_lattice_hnf, relation_lattice
-from .curves import GeometryError, PlaneCurve, check_smooth, intersect
-from .fields import QQ, AlgNum
-from .linalg import kernel_basis
+from .curves import GeometryError, PlaneCurve, check_smooth, intersect, normalize_point
+from .fields import QQ
+from .linalg import cross3, kernel_basis
 from .unipoly import squarefree_decomposition
 
 
@@ -161,8 +161,10 @@ def _points_over_nf(comps):
         for j in range(i + 1, len(comps)):
             a, b = work[i], work[j]
             if a.degree == 1 and b.degree == 1:
-                pt = _cross_nf(a, b, K)
-                record(pt, i, j, 1)
+                pt = cross3(_line_coeffs(a, K), _line_coeffs(b, K))
+                if all(c == 0 for c in pt):
+                    raise CombinatoricsError("two line components coincide")
+                record(normalize_point(pt, K), i, j, 1)
             else:
                 line, other = (a, b) if a.degree == 1 else (b, a)
                 for pt, mult in _line_section_nf(line, other, K):
@@ -179,27 +181,6 @@ def _line_coeffs(line, K):
         K.coerce(line.coeff((0, 1, 0))),
         K.coerce(line.coeff((0, 0, 1))),
     )
-
-
-def _cross_nf(a, b, K):
-    u = _line_coeffs(a, K)
-    v = _line_coeffs(b, K)
-    pt = (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-    if all(K.is_zero(c) for c in pt):
-        raise CombinatoricsError("two line components coincide")
-    return _normalize_nf(pt, K)
-
-
-def _normalize_nf(pt, K):
-    for c in pt:
-        if not K.is_zero(c):
-            inv = c.inverse() if isinstance(c, AlgNum) else 1 / c
-            return tuple(v * inv for v in pt)
-    raise CombinatoricsError("zero vector")
 
 
 def _line_section_nf(line, other, K):
@@ -233,7 +214,7 @@ def _line_section_nf(line, other, K):
             )
         u0 = -(w.coeffs[0] / w.coeffs[1])
         pt = tuple(u0 * x + y for x, y in zip(A, B))
-        out.append((_normalize_nf(pt, K), mult))
+        out.append((normalize_point(pt, K), mult))
     if sum(m for _, m in out) != other.degree:
         raise CombinatoricsError("line section multiplicities do not sum to the degree")
     return out

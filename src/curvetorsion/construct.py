@@ -23,12 +23,14 @@ from .curves import (
     cluster_from_point,
     eval_at_cluster,
     intersect,
+    normalize_point,
     order_along,
+    polar_curve,
 )
-from .elliptic import EllipticChart, normalize_point
-from .fields import QQ, AlgNum
+from .elliptic import EllipticChart, monomial_row, origin_tangency_row
+from .fields import QQ
 from .homopoly import HomogeneousPoly, hessian_det, monomials
-from .linalg import det3
+from .linalg import cross3, det3, kernel_basis
 from .picard import DivisorClass, PicardContext, is_principal, torsion_order
 
 
@@ -177,8 +179,7 @@ def power_of_k(pair: TypedPair, k: int, rng_seed: int = 0, retries: int = 32) ->
         g = rand_form(gdeg, rng)
         bad = False
         for cl, _ in div.clusters:
-            v = eval_at_cluster(g, cl)
-            if (v == 0) if not isinstance(v, AlgNum) else v.is_zero():
+            if eval_at_cluster(g, cl) == 0:
                 bad = True
                 break
         if bad:
@@ -275,8 +276,7 @@ def artal_arrangement(cubic: PlaneCurve, collinear: bool, rng_seed: int = 0) -> 
         for cl in triple:
             line = _tangent_line_at(cubic, cl)
             if cl.size == 1:
-                if line.field != QQ:
-                    line = _to_rational(line)
+                line = line.to_field(QQ)
                 lines.append(line)
                 line_curves.append(PlaneCurve(line, f"T{len(line_curves) + 1}"))
             else:
@@ -306,16 +306,6 @@ def artal_arrangement(cubic: PlaneCurve, collinear: bool, rng_seed: int = 0) -> 
     )
 
 
-def _to_rational(form: HomogeneousPoly) -> HomogeneousPoly:
-    terms = {}
-    for e, c in form.terms.items():
-        if isinstance(c, AlgNum):
-            terms[e] = c.as_rational()
-        else:
-            terms[e] = c
-    return HomogeneousPoly(QQ, form.degree, terms)
-
-
 def _triple_collinear(triple) -> bool:
     if len(triple) == 3:
         return _rational_collinear([cl.center() for cl in triple])
@@ -323,7 +313,7 @@ def _triple_collinear(triple) -> bool:
     field = pair.field
     if field.degree != 2:
         raise ConstructionError("collinearity over clusters of degree > 2 is unsupported")
-    p1 = [field.coerce(Fraction(c) if not isinstance(c, AlgNum) else c) for c in single.center()]
+    p1 = [field.coerce(c) for c in single.center()]
     p2 = list(pair.center())
     p3 = [field.conjugate(c) for c in p2]
     return field.is_zero(det3([p1, p2, p3]))
@@ -344,8 +334,6 @@ def tangent_lines_through(cubic: PlaneCurve, p) -> list:
     """
     if not check_smooth(cubic).is_smooth:
         raise ConstructionError("tangent lines need a certified smooth cubic")
-    from .curves import polar_curve
-
     p = normalize_point(p)
     if cubic.equation.eval(p) != 0:
         raise ConstructionError("base point must lie on the cubic")
@@ -363,18 +351,7 @@ def tangent_lines_through(cubic: PlaneCurve, p) -> list:
         raise ConstructionError("base point is not generic: tangency points collide")
     out = []
     for cl, _ in residual:
-        field = cl.field
-        q = cl.center()
-        pp = [field.coerce(Fraction(c)) for c in p]
-        line = HomogeneousPoly(
-            field,
-            1,
-            {
-                (1, 0, 0): pp[1] * q[2] - pp[2] * q[1],
-                (0, 1, 0): pp[2] * q[0] - pp[0] * q[2],
-                (0, 0, 1): pp[0] * q[1] - pp[1] * q[0],
-            },
-        )
+        line = HomogeneousPoly.linear_form(cross3(p, cl.center()), cl.field)
         if order_along(cubic, cl, line, cap=4) != 2:
             raise CertificationError("constructed line is not a simple tangent")
         out.append(TangentLine(cl, line))
@@ -410,15 +387,7 @@ def tangent_quadruple_arrangements(rng_seed: int = 0):
     base2 = [mq0] + [chart.add(mq0, t) for t in two_torsion]
 
     def line_through(a, b, name):
-        a, b = normalize_point(a), normalize_point(b)
-        coeffs = (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
-        form = HomogeneousPoly.from_terms(
-            {(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]}
-        )
+        form = HomogeneousPoly.linear_form(cross3(normalize_point(a), normalize_point(b)))
         return PlaneCurve(form.normalized(), name)
 
     # pair lines by their two-torsion translate: {0, T1} on both base points
@@ -587,34 +556,10 @@ def _rational_collinear(pts):
 
 def _conic_through_tangent_origin(chart: EllipticChart, pts):
     """The conic through three points, tangent to the cubic at the origin."""
-    from .linalg import kernel_basis
-
     monos = monomials(2)
-    rows = []
-    o = chart.origin
-    w = chart._tangent_partner(o)
-    for p in list(pts) + [o]:
-        rows.append([_mono_eval(e, p) for e in monos])
-    drow = []
-    for e in monos:
-        s = Fraction(0)
-        for i in range(3):
-            if e[i]:
-                v = Fraction(e[i])
-                for j in range(3):
-                    power = e[j] - (1 if j == i else 0)
-                    v *= Fraction(o[j]) ** power
-                s += v * Fraction(w[i])
-        drow.append(s)
-    rows.append(drow)
+    rows = [monomial_row(p, monos) for p in list(pts) + [chart.origin]]
+    rows.append(origin_tangency_row(chart, monos))
     sol = kernel_basis(rows, len(monos), QQ)
     if not sol:
         raise ConstructionError("no conic through the three points tangent at the origin")
     return HomogeneousPoly(QQ, 2, {e: c for e, c in zip(monos, sol[0])})
-
-
-def _mono_eval(e, p):
-    v = Fraction(1)
-    for i in range(3):
-        v *= Fraction(p[i]) ** e[i]
-    return v

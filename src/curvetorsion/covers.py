@@ -18,7 +18,7 @@ from .curves import PlaneCurve, intersect
 from .fields import QQ
 from .homopoly import HomogeneousPoly
 from .linalg import hermite_normal_form, smith_normal_form
-from .picard import DivisorClass, PicardContext, is_principal, torsion_order
+from .picard import DivisorClass, PicardContext, TorsionResult, is_principal, torsion_order
 
 
 class CoverError(ValueError):
@@ -90,8 +90,7 @@ class Decomposition:
         self.n = n
         self.divisors = tuple(divisors)
         self.classes = tuple(self._class_from_divisor(div, pc) for div, pc in zip(divisors, part_curves))
-        self._orders = {}
-        self._lattice = None
+        self._torsion = {}
 
     def _check_no_shared_components(self):
         comps = [c for p in self.parts for c in p.components]
@@ -120,14 +119,18 @@ class Decomposition:
     def degrees(self):
         return tuple(p.degree for p in self.parts)
 
-    def part_order(self, j: int) -> int:
-        """Torsion order of the j-th part class (1-based index not used: j is 0-based)."""
-        if j not in self._orders:
+    def part_torsion(self, j: int) -> TorsionResult:
+        """Torsion order and principality witness of the j-th part class (0-based)."""
+        if j not in self._torsion:
             res = torsion_order(self.classes[j], self.n) if self.n > 0 else None
             if res is None or res.order is None:
                 raise CoverError("part class has no order dividing n; invariant broken")
-            self._orders[j] = res.order
-        return self._orders[j]
+            self._torsion[j] = res
+        return self._torsion[j]
+
+    def part_order(self, j: int) -> int:
+        """Torsion order of the j-th part class (0-based)."""
+        return self.part_torsion(j).order
 
     def order_tuple(self):
         return tuple(self.part_order(j) for j in range(self.k))
@@ -160,12 +163,6 @@ class Decomposition:
 
     def __repr__(self):
         return f"Decomposition({self.name or self.d.name}; k={self.k}, n={self.n})"
-
-
-def build_decomposition(
-    d: PlaneCurve, parts, rng_seed: int = 0, name: str = "", smooth_trials: int = 8
-) -> Decomposition:
-    return Decomposition(d, parts, rng_seed=rng_seed, name=name, smooth_trials=smooth_trials)
 
 
 @dataclass

@@ -186,7 +186,7 @@ def loads_curve_file(text: str) -> CurveFile:
         smooth = entry.get("smooth")
         parts = entry.get("parts", [])
         if not isinstance(parts, list) or not all(
-            isinstance(g, list) and all(isinstance(c, str) for c in g) for g in parts
+            isinstance(g, list) and g and all(isinstance(c, str) for c in g) for g in parts
         ):
             raise CurveFileError(f"decomposition {name!r}: parts must be lists of curve names")
         if not isinstance(smooth, str) or smooth not in curves:
@@ -209,10 +209,17 @@ def loads_curve_file(text: str) -> CurveFile:
             raise CurveFileError(f"decomposition {name!r} has no parts")
         decomps.append(DecompositionSpec(name, smooth, [list(g) for g in parts]))
     pairs = []
+    if not isinstance(raw.get("typed_pairs", []), list):
+        raise CurveFileError("typed_pairs must be a JSON list")
     for entry in raw.get("typed_pairs", []):
+        if not isinstance(entry, dict):
+            raise CurveFileError("every typed pair must be a JSON object")
         dname, cname = entry.get("d"), entry.get("c")
-        if dname not in curves or cname not in curves:
+        if not all(isinstance(c, str) and c in curves for c in (dname, cname)):
             raise CurveFileError(f"typed pair references unknown curves {dname!r}, {cname!r}")
+        provenance = entry.get("provenance", [])
+        if not isinstance(provenance, list) or not all(isinstance(p, dict) for p in provenance):
+            raise CurveFileError("typed pair provenance must be a list of JSON objects")
         pairs.append(
             TypedPairSpec(
                 name=entry.get("name", ""),
@@ -220,7 +227,7 @@ def loads_curve_file(text: str) -> CurveFile:
                 c=cname,
                 n=entry.get("n"),
                 nu=entry.get("nu"),
-                provenance=entry.get("provenance", []),
+                provenance=provenance,
             )
         )
     return CurveFile(field, curves, decomps, pairs)

@@ -19,12 +19,12 @@ import contextvars
 import random
 from fractions import Fraction
 
-from .fields import QQ, AlgNum, FieldError, NumberField
+from .fields import QQ, FieldError, NumberField
 from .homopoly import HomogeneousPoly
 from .linalg import det_int
 from .qpoly import factor_rational, squarefree_q
 from .series import TruncSeries, eval_form_on_series
-from .unipoly import UniPoly, _zz_resultant, gcd as poly_gcd
+from .unipoly import UniPoly, _zz_resultant, gcd as poly_gcd, squarefree_part
 
 
 class GeometryError(ValueError):
@@ -109,6 +109,17 @@ def apply_shear_to_vector(shear, v):
             acc = term if acc is None else acc + term
         out.append(acc)
     return tuple(out)
+
+
+def normalize_point(p, field=QQ):
+    """The projective point p over the field, scaled so that its first
+    nonzero coordinate is 1."""
+    coords = [field.coerce(c) for c in p]
+    pivot = next((c for c in coords if c != 0), None)
+    if pivot is None:
+        raise GeometryError("zero vector is not a projective point")
+    inv = 1 / pivot
+    return tuple(c * inv for c in coords)
 
 
 def draw_shear(rng, bound=4):
@@ -233,17 +244,19 @@ class ProjPointCluster:
 
         The chart index is Galois stable, so equal orbits normalize alike.
         """
-        pt = self.center()
-        for i in range(3):
-            c = pt[i]
-            if not self.field.is_zero(c):
-                inv = 1 / c if not isinstance(c, AlgNum) else c.inverse()
-                return i, tuple(v * inv for v in pt)
-        raise GeometryError("cluster center is the zero vector")
+        pt = normalize_point(self.center(), self.field)
+        return pt.index(1), pt  # the first nonzero coordinate is 1
+
+    def base_coords(self, v):
+        """A value in the cluster field as coordinates over the base field.
+
+        For an orbit of several points these are the power-basis coordinates
+        of v; a single point has the base field as its field.
+        """
+        return v.coords if self.size > 1 else (v,)
 
     def lies_on(self, curve: PlaneCurve) -> bool:
-        val = curve.equation.eval(self.center())
-        return val == 0 if not isinstance(val, AlgNum) else val.is_zero()
+        return curve.equation.eval(self.center()) == 0
 
     def __repr__(self):
         return (
@@ -258,15 +271,11 @@ def cluster_from_point(point, base_field=QQ, curve: PlaneCurve | None = None):
     Y-regular at the point (the Y-slot gets a coordinate with nonvanishing
     gradient entry), which local parametrizations need.
     """
-    coords = [base_field.coerce(c) for c in point]
-    idx = next((i for i in range(3) if not base_field.is_zero(coords[i])), None)
-    if idx is None:
-        raise GeometryError("zero vector is not a projective point")
-    inv = 1 / coords[idx] if not isinstance(coords[idx], AlgNum) else coords[idx].inverse()
-    c = [v * inv for v in coords]
+    c = normalize_point(point, base_field)
+    idx = c.index(1)  # the first nonzero coordinate
     others = [j for j in range(3) if j != idx]
     if curve is not None:
-        grads = [curve.equation.diff(i).to_field(base_field).eval(tuple(c)) for i in range(3)]
+        grads = [curve.equation.diff(i).to_field(base_field).eval(c) for i in range(3)]
         if not base_field.is_zero(grads[others[0]]) and base_field.is_zero(grads[others[1]]):
             others = [others[1], others[0]]
     shear = [[Fraction(0)] * 3 for _ in range(3)]
@@ -277,18 +286,6 @@ def cluster_from_point(point, base_field=QQ, curve: PlaneCurve | None = None):
     x_minpoly = UniPoly(base_field, [-c[others[0]], base_field.one])
     y_rep = UniPoly(base_field, [c[others[1]]])
     return ProjPointCluster(base_field, x_minpoly, y_rep, shear)
-
-
-def _coords_as_polys(cluster):
-    """Original coordinates of the normalized center as polynomials in theta."""
-    idx, pt = cluster.normalized_center()
-    polys = []
-    for v in pt:
-        if isinstance(v, AlgNum):
-            polys.append(list(v.coords))
-        else:
-            polys.append([v])
-    return idx, polys
 
 
 def same_points(c1: ProjPointCluster, c2: ProjPointCluster) -> bool:
@@ -302,37 +299,23 @@ def same_points(c1: ProjPointCluster, c2: ProjPointCluster) -> bool:
         return False
     if c1.size != c2.size:
         return False
-    i1, polys1 = _coords_as_polys(c1)
+    i1, pt1 = c1.normalized_center()
     i2, pt2 = c2.normalized_center()
     if i1 != i2:
         return False
-    if c1.size == 1 and c2.size == 1:
-        _, pt1 = c1.normalized_center()
-        return all(
-            (a == b if not isinstance(a, AlgNum) and not isinstance(b, AlgNum) else _alg_eq(a, b))
-            for a, b in zip(pt1, pt2)
-        )
+    if c1.size == 1:
+        return pt1 == pt2
+    # the coordinates of c1's points are polynomials in its x-root theta
     field2 = c2.field
-    g = UniPoly(field2, [field2.coerce(Fraction(c)) for c in c1.x_minpoly.coeffs])
+    g = UniPoly(field2, c1.x_minpoly.coeffs)
     for j in range(3):
         if j == i1:
             continue
-        coeffs = [field2.coerce(Fraction(c)) for c in polys1[j]]
-        diff = UniPoly(field2, coeffs) - UniPoly(field2, [field2.coerce(pt2[j])])
+        diff = UniPoly(field2, c1.base_coords(pt1[j])) - UniPoly(field2, [pt2[j]])
         g = poly_gcd(g, diff)
         if g.degree < 1:
             return False
     return g.degree >= 1
-
-
-def _alg_eq(a, b):
-    if isinstance(a, AlgNum) and isinstance(b, AlgNum):
-        return a == b
-    if isinstance(a, AlgNum):
-        return a.is_rational() and a.as_rational() == b
-    if isinstance(b, AlgNum):
-        return b.is_rational() and b.as_rational() == a
-    return a == b
 
 
 class IntersectionDivisor:
@@ -571,7 +554,7 @@ def local_param(d: PlaneCurve, cluster: ProjPointCluster, order: int) -> LocalPa
     check0 = fa.as_unipoly_in_y(x_value=th).eval(y0)
     if not field.is_zero(check0):
         raise GeometryError("cluster does not lie on the curve")
-    inv_fy = 1 / fy if not isinstance(fy, AlgNum) else fy.inverse()
+    inv_fy = 1 / fy
     ys = [y0]
     for k in range(1, order + 1):
         sx = TruncSeries(field, k, [th, field.one])
@@ -726,6 +709,9 @@ def _singular_witness(fa, shear, disc):
             work_field = NumberField(p.coeffs, symbol="r", trusted=True)
             theta = work_field.gen
         g = poly_gcd(_slice_y1(fa.to_field(work_field), theta), _slice_y1(fz.to_field(work_field), theta))
+        if g.degree > 1:
+            # at an ordinary triple point the fiber gcd is (z - z0)^2
+            g = squarefree_part(g)
         if g.degree != 1:
             continue
         z0 = -(g.coeffs[0] / g.coeffs[1])

@@ -5,7 +5,8 @@ are reduced to a single rational point by summing Galois orbits through
 auxiliary rational lines and conics (all points of a curve section of degree
 e sum to zero when the origin is an inflection), after which the order is
 read off by repeated addition.  Nothing here shares code with the linear
-system route in picard.py beyond basic polynomial arithmetic.
+system route in picard.py beyond basic polynomial arithmetic and reading
+point coordinates; in particular it solves no principality system.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .curves import (
     check_smooth,
     cluster_from_point,
     intersect,
+    normalize_point,
     _restrict_to_line,
 )
 from .fields import QQ
@@ -29,14 +31,6 @@ from .linalg import kernel_basis
 class OracleUnavailableError(GeometryError):
     """The chord-tangent oracle cannot handle this input; the linear system
     route remains authoritative."""
-
-
-def normalize_point(p):
-    coords = [Fraction(c) for c in p]
-    idx = next((i for i in range(3) if coords[i] != 0), None)
-    if idx is None:
-        raise GeometryError("zero vector is not a projective point")
-    return tuple(c / coords[idx] for c in coords)
 
 
 def _proportional(p, q):
@@ -143,27 +137,36 @@ class EllipticChart:
         return None
 
 
-def _orbit_rows(cluster: ProjPointCluster, monos):
-    """Rational rows forcing a form (in the monomial basis) through the orbit."""
-    center = cluster.center()
-    ext_degree = cluster.field.degree if cluster.size > 1 else 1
-    entries = []
+def monomial_row(p, monos):
+    """Values of the monomials at the point p, over the field of p."""
+    return [p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2] for e in monos]
+
+
+def origin_tangency_row(chart: EllipticChart, monos):
+    """Derivatives of the monomials at the origin along its tangent line.
+
+    A form whose coefficients annihilate this row, and which vanishes at the
+    origin, is tangent to the cubic there.
+    """
+    o = chart.origin
+    w = chart._tangent_partner(o)
+    row = []
     for e in monos:
-        v = None
+        s = Fraction(0)
         for i in range(3):
             if e[i]:
-                p = center[i] ** e[i]
-                v = p if v is None else v * p
-        if v is None:
-            v = cluster.field.one if cluster.size > 1 else Fraction(1)
-        entries.append(v)
-    rows = []
-    for basis_index in range(ext_degree):
-        row = []
-        for v in entries:
-            row.append(v.coords[basis_index] if cluster.size > 1 else Fraction(v))
-        rows.append(row)
-    return rows
+                v = Fraction(e[i])
+                for j in range(3):
+                    v *= o[j] ** (e[j] - (1 if j == i else 0))
+                s += v * w[i]
+        row.append(s)
+    return row
+
+
+def _orbit_rows(cluster: ProjPointCluster, monos):
+    """Rational rows forcing a form (in the monomial basis) through the orbit."""
+    values = monomial_row(cluster.center(), monos)
+    return [list(row) for row in zip(*(cluster.base_coords(v) for v in values))]
 
 
 def orbit_sum(chart: EllipticChart, cluster: ProjPointCluster):
@@ -199,29 +202,11 @@ def orbit_sum(chart: EllipticChart, cluster: ProjPointCluster):
     monos2 = monomials(2)
     rows2 = _orbit_rows(cluster, monos2)
     o = chart.origin
-    o_vals = []
-    for e in monos2:
-        v = Fraction(1)
-        for i in range(3):
-            v *= Fraction(o[i]) ** e[i]
-        o_vals.append(v)
-    rows2.append(o_vals)
+    rows2.append(monomial_row(o, monos2))
     known = [(cluster, 1)]
     if r == 3:
-        # tangency at the origin: derivative along the inflection tangent
-        w = chart._tangent_partner(o)
-        drow = []
-        for e in monos2:
-            s = Fraction(0)
-            for i in range(3):
-                if e[i]:
-                    v = Fraction(e[i])
-                    for j in range(3):
-                        p = e[j] - (1 if j == i else 0)
-                        v *= Fraction(o[j]) ** p
-                    s += v * Fraction(w[i])
-            drow.append(s)
-        rows2.append(drow)
+        # tangency at the origin, along the inflection tangent
+        rows2.append(origin_tangency_row(chart, monos2))
         known.append((cluster_from_point(o, curve=E), 2))
     else:
         known.append((cluster_from_point(o, curve=E), 1))

@@ -4,6 +4,10 @@ All arithmetic is exact.  Rational scalars are ``fractions.Fraction`` (already
 normalized with positive denominator); number field elements are dense
 coordinate vectors in the power basis 1, t, ..., t^(deg-1).  Values are
 immutable and hashable, so they can be shared freely between threads.
+
+Both kinds of scalar support +, -, *, / (``1 / x`` is the inverse) and ==
+with each other and with ints, so this is the only module that chooses
+arithmetic by scalar type.
 """
 
 from __future__ import annotations
@@ -307,6 +311,8 @@ class AlgNum:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
+        if other == 1:
+            return self.inverse()
         return self.field.coerce(other) * self.inverse()
 
     def __pow__(self, n):
@@ -382,15 +388,6 @@ def _poly_sub_q(a, b):
     a = list(a) + [Fraction(0)] * (n - len(a))
     b = list(b) + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
-
-
-def field_of(x):
-    """Field that a scalar lives in (QQ for int/Fraction)."""
-    if isinstance(x, AlgNum):
-        return x.field
-    if isinstance(x, RatLike):
-        return QQ
-    raise FieldError(f"not a field element: {x!r}")
 
 
 def common_field(f1, f2):

@@ -227,9 +227,6 @@ class HomogeneousPoly:
             out.append(UniPoly(self.field, [row.get(i, self.field.zero) for i in range(deg)]))
         return out
 
-    def y_degree(self):
-        return max((e[1] for e in self.terms), default=-1)
-
     def reduce_mod(self, g):
         """Remainder of division by the single form g in graded-lex order.
 
@@ -269,8 +266,7 @@ class HomogeneousPoly:
         if self.is_zero():
             return self
         _, c = self.leading()
-        inv = 1 / c if not isinstance(c, AlgNum) else c.inverse()
-        return self * inv
+        return self * (1 / c)
 
     def text(self):
         """Canonical human-readable form, graded-lex descending."""

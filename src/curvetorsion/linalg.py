@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def _check_rect(matrix):
     if not matrix:
@@ -25,8 +23,7 @@ def row_echelon(matrix, field):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        inv = 1 / inv if isinstance(inv, Fraction) else inv.inverse()
+        inv = 1 / rows[r][c]
         rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and not field.is_zero(rows[i][c]):
@@ -229,6 +226,21 @@ def det3(rows):
     """
     (a, b, c), (d, e, f), (g, h, i) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def cross3(u, v):
+    """Cross product u x v of two 3-vectors over any commutative ring.
+
+    These are the cofactors of the first row of det3([w, u, v]), so
+    det3([w, u, v]) equals the dot product of w with cross3(u, v).  For two
+    projective points it gives the line through them; for two lines, their
+    meeting point.
+    """
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
 
 
 def det_int(matrix):

@@ -80,9 +80,6 @@ class DivisorClass:
     def effective_degree(self):
         return sum(cl.size * m for cl, m in self.effective)
 
-    def is_zero_class_data(self):
-        return not self.effective and self.o_multiple == 0
-
     def scale(self, k: int) -> "DivisorClass":
         if k < 0:
             raise PicardError("only nonnegative scaling is supported")
@@ -130,25 +127,16 @@ def _cluster_condition_rows(d: PlaneCurve, cluster: ProjPointCluster, need: int,
     rows: the first coefficients of every monomial along the branch, expanded
     in the power basis of the cluster field.
     """
-    base = d.field
     param = local_param(d, cluster, order=need + 1)
     sx, sy, sz = param.original_series()
     px, py, pz = series_pow_cache(sx), series_pow_cache(sy), series_pow_cache(sz)
     cols = []
     for (a, b, c) in monos:
         cols.append(px(a) * py(b) * pz(c))
-    ext_degree = cluster.field.degree if cluster.size > 1 else 1
     rows = []
     for i in range(need):
-        for basis_index in range(ext_degree):
-            row = []
-            for col in cols:
-                coeff = col.coeff(i)
-                if cluster.size > 1:
-                    row.append(coeff.coords[basis_index])
-                else:
-                    row.append(coeff)
-            rows.append(row)
+        coords = [cluster.base_coords(col.coeff(i)) for col in cols]
+        rows.extend(list(row) for row in zip(*coords))
     return rows
 
 

@@ -55,7 +55,7 @@ class UniPoly:
     def monic(self):
         if self.is_zero():
             return self
-        inv = 1 / self.lc if not isinstance(self.lc, AlgNum) else self.lc.inverse()
+        inv = 1 / self.lc
         return UniPoly(self.field, [c * inv for c in self.coeffs])
 
     def __eq__(self, other):
@@ -123,7 +123,7 @@ class UniPoly:
         db = other.degree
         if self.degree < db:
             return UniPoly.zero(self.field), self
-        inv = 1 / other.lc if not isinstance(other.lc, AlgNum) else other.lc.inverse()
+        inv = 1 / other.lc
         q = [self.field.zero] * (self.degree - db + 1)
         for i in range(self.degree - db, -1, -1):
             c = rem[i + db] * inv
@@ -160,12 +160,6 @@ class UniPoly:
         xa = UniPoly(self.field, [a, 1])
         for c in reversed(self.coeffs):
             result = result * xa + UniPoly.const(c, self.field)
-        return result
-
-    def compose(self, other):
-        result = UniPoly.zero(self.field)
-        for c in reversed(self.coeffs):
-            result = result * other + UniPoly.const(c, self.field)
         return result
 
     def __repr__(self):
@@ -287,10 +281,6 @@ def _lift_to_zz(f, field):
     den = math.lcm(*(c.denominator for c in terms.values()))
     lifted = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     return lifted, den, max((e[0] for e in lifted), default=0)
-
-
-def from_fraction_list(coeffs, field=QQ):
-    return UniPoly(field, coeffs)
 
 
 def lagrange_interpolate(points, field=QQ):

@@ -1,5 +1,6 @@
 import contextvars
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,3 +241,26 @@ def test_consecutive_requests_share_no_cache(recorded_caches, artal_file, geomet
     assert (first.hits, first.misses) == (second.hits, second.misses)
     assert second.misses["intersections"] > 0
     assert geometry_cache.hits == geometry_cache.misses == dict.fromkeys(GeometryCache.MAPS, 0)
+
+
+def test_torsion_computes_each_part_order_once(monkeypatch, capsys):
+    from curvetorsion.curvefile import load_curve_file
+    from curvetorsion.picard import torsion_order
+
+    path = SAMPLES / "tangent_quadruples.json"
+    dec = load_curve_file(path).decomposition("equal-classes")
+    direct = [torsion_order(cls, dec.n) for cls in dec.classes]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return torsion_order(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("curvetorsion") and getattr(module, "torsion_order", None) is torsion_order:
+            monkeypatch.setattr(module, "torsion_order", counted)
+    assert main(["torsion", str(path), "equal-classes", "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(calls) == dec.k
+    assert results["orders"] == [r.order for r in direct]
+    assert results["witnesses"] == [r.witness.text() for r in direct]

@@ -124,6 +124,12 @@ NF = {"generator": "r", "min_poly": "r^2 + 1"}
         ({"decompositions": [{"name": "d", "smooth": ["E"], "parts": [["T1"]]}]}, "unknown smooth"),
         ({"decompositions": [{"name": "d", "smooth": "E", "parts": 3}]}, "parts must be lists"),
         ({"decompositions": [{"name": "d", "smooth": "E", "parts": [[["T1"]]]}]}, "parts must be lists"),
+        ({"decompositions": [{"name": "d", "smooth": "E", "parts": [[]]}]}, "parts must be lists"),
+        ({"typed_pairs": 3}, "typed_pairs must be a JSON list"),
+        ({"typed_pairs": [3]}, "every typed pair must be a JSON object"),
+        ({"typed_pairs": [{"name": "p", "d": ["T1"], "c": "E"}]}, "unknown curves"),
+        ({"typed_pairs": [{"name": "p", "d": "T1", "c": "E", "provenance": 3}]}, "provenance must be"),
+        ({"typed_pairs": [{"name": "p", "d": "T1", "c": "E", "provenance": [3]}]}, "provenance must be"),
     ],
 )
 def test_malformed_fields_are_input_errors(tmp_path, capsys, changes, message):
@@ -134,4 +140,13 @@ def test_malformed_fields_are_input_errors(tmp_path, capsys, changes, message):
     p.write_text(json.dumps(data))
     # an exception escaping main would fail the test before these asserts
     assert main(["torsion", str(p), "collinear"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("provenance", [3, [3]])
+def test_malformed_provenance_is_an_input_error_for_power_k(tmp_path, capsys, provenance):
+    data = dict(BASIC, typed_pairs=[{"name": "p", "d": "T1", "c": "E", "provenance": provenance}])
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["construct", "--recipe", "power-k", "--from", str(p), "--k", "3"]) == 3
     assert "Traceback" not in capsys.readouterr().err

@@ -13,11 +13,12 @@ from curvetorsion.curves import (
     cluster_from_point,
     intersect,
     local_param,
+    normalize_point,
     order_along,
     polar_curve,
     same_points,
 )
-from curvetorsion.fields import QQ
+from curvetorsion.fields import QQ, NumberField
 from curvetorsion.homopoly import HomogeneousPoly
 from curvetorsion.parsing import parse_poly
 from curvetorsion.series import eval_form_on_series
@@ -218,6 +219,27 @@ def test_witness_over_a_repeated_nonlinear_discriminant_factor():
     assert field.degree == 2
     f = quartic.equation.to_field(field)
     assert all(field.is_zero(f.diff(i).eval(point)) for i in range(3))
+
+
+def test_witness_at_an_ordinary_triple_point():
+    # three concurrent lines over Q(i) meet at (1 : 0 : -1); there the fiber
+    # gcd of f and f_z is a square, (z - z0)^2
+    triple = PlaneCurve(parse_poly("(x+z)^2*y + y^3"))
+    v = check_smooth(triple)
+    assert v.kind == "singular"
+    assert normalize_point(v.witness["point"]) == (1, 0, -1)
+
+
+def test_normalize_point_over_a_number_field():
+    k = NumberField([1, 0, 1], symbol="i")
+    i = k.gen
+    pt = normalize_point((0, 2 * i, 1 + i), k)
+    # (1 + i) / (2i) = (1 - i) / 2
+    assert pt == (k.zero, k.one, k.element([Fraction(1, 2), Fraction(-1, 2)]))
+    assert normalize_point(tuple((3 - i) * c for c in pt), k) == pt
+    assert normalize_point((0, 0, 4), k) == (0, 0, 1)
+    with pytest.raises(GeometryError):
+        normalize_point((k.zero, 0, 0), k)
 
 
 def _fresh(fn, *args):

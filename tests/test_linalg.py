@@ -4,6 +4,8 @@ import pytest
 
 from curvetorsion.fields import QQ, NumberField
 from curvetorsion.linalg import (
+    cross3,
+    det3,
     det_int,
     hermite_normal_form,
     in_row_span,
@@ -90,3 +92,15 @@ def test_hermite_is_canonical_for_equal_lattices():
 
 def test_hermite_drops_zero_rows():
     assert hermite_normal_form([[0, 0], [3, 3]], 2) == ((3, 3),)
+
+
+def test_cross3_is_the_first_row_cofactor_vector_of_det3():
+    k = NumberField([1, 0, 1], symbol="i")
+    i = k.gen
+    for u, v in [
+        ((Fraction(1), Fraction(-2), Fraction(3)), (Fraction(4), Fraction(0), Fraction(-1, 2))),
+        ((i, k.one, 2 * i + 1), (k.zero, 3 - i, k.one)),
+    ]:
+        c = cross3(u, v)
+        for w in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 5), u, v]:
+            assert det3([w, u, v]) == sum(a * b for a, b in zip(w, c))
