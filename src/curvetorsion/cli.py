@@ -33,6 +33,7 @@ from .curves import (
 )
 from .construct import (
     ConstructionError,
+    PreconditionError,
     artal_arrangement,
     build_type_4663,
     power_of_k,
@@ -406,6 +407,9 @@ def main(argv=None):
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         return code
+    except PreconditionError as e:  # a ConstructionError that judges the input
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     except INTERNAL_ERRORS as e:
         print(f"certification failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL

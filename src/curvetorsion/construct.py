@@ -38,6 +38,10 @@ class ConstructionError(GeometryError):
     pass
 
 
+class PreconditionError(ConstructionError):
+    """The recipe's input fails a stated precondition: an input error."""
+
+
 @dataclass
 class ConstructionStep:
     kind: str
@@ -125,7 +129,7 @@ def _verified_pair(d, c, rng_seed, provenance) -> TypedPair:
 def transversal_seed(d0: int, d1: int, rng_seed: int = 0, retries: int = 32) -> TypedPair:
     """Random smooth curves of the given degrees meeting transversally."""
     if d0 > d1:
-        raise ConstructionError("transversal seeds need d0 <= d1")
+        raise PreconditionError("transversal seeds need d0 <= d1")
     rng = random.Random(rng_seed)
     step = ConstructionStep("transversal_seed", {"d0": d0, "d1": d1}, rng_seed)
     for _ in range(retries):
@@ -162,11 +166,9 @@ def power_of_k(pair: TypedPair, k: int, rng_seed: int = 0, retries: int = 32) ->
     """
     d0, d1, n, nu = pair.type_tuple
     if k * d0 < d1:
-        raise ConstructionError(f"need k*d0 >= d1, got {k}*{d0} < {d1}")
+        raise PreconditionError(f"need k*d0 >= d1, got {k}*{d0} < {d1}")
     if not ((d0 % n == 0 and d0 < d1) or d0 == d1):
-        raise ConstructionError(
-            "typed conclusion needs d0 = d1 or (n | d0 and d0 < d1)"
-        )
+        raise PreconditionError("typed conclusion needs d0 = d1 or (n | d0 and d0 < d1)")
     predicted_nu = n if d0 < d1 else nu
     predicted_n = k * n
     f0 = pair.d.equation
@@ -255,7 +257,7 @@ def artal_arrangement(cubic: PlaneCurve, collinear: bool, rng_seed: int = 0) -> 
     rational).  The three lines are certified non-concurrent.
     """
     if cubic.degree != 3:
-        raise ConstructionError("inflection-tangent arrangements need a cubic")
+        raise PreconditionError("inflection-tangent arrangements need a cubic")
     clusters = _inflection_clusters(cubic, rng_seed)
     singles = [cl for cl in clusters if cl.size == 1]
     pairs = [cl for cl in clusters if cl.size == 2]
@@ -299,7 +301,7 @@ def artal_arrangement(cubic: PlaneCurve, collinear: bool, rng_seed: int = 0) -> 
             name="collinear" if collinear else "noncollinear",
         )
         return dec
-    raise ConstructionError(
+    raise PreconditionError(
         "no Galois-stable inflection triple with the requested collinearity exists "
         "over the supported fields (a cubic inflection cluster would need an extension, "
         "e.g. adjoining a cube root of unity for non-rational Fermat triples)"
@@ -333,10 +335,10 @@ def tangent_lines_through(cubic: PlaneCurve, p) -> list:
     (local intersection 2 at its tangency point) and through p.
     """
     if not check_smooth(cubic).is_smooth:
-        raise ConstructionError("tangent lines need a certified smooth cubic")
+        raise PreconditionError("tangent lines need a certified smooth cubic")
     p = normalize_point(p)
     if cubic.equation.eval(p) != 0:
-        raise ConstructionError("base point must lie on the cubic")
+        raise PreconditionError("base point must lie on the cubic")
     polar = PlaneCurve(polar_curve(cubic, p), "polar", check_reduced=False)
     div = intersect(cubic, polar)
     p_cluster = cluster_from_point(p, curve=cubic)
@@ -345,10 +347,10 @@ def tangent_lines_through(cubic: PlaneCurve, p) -> list:
         raise CertificationError("polar does not pass through the base point")
     p_mult = div.clusters[idx][1]
     if p_mult >= 3:
-        raise ConstructionError("base point is an inflection; tangent count degenerates")
+        raise PreconditionError("base point is an inflection; tangent count degenerates")
     residual = div.subtract([(div.clusters[idx][0], p_mult)])
     if any(m != 1 for _, m in residual) or sum(cl.size for cl, _ in residual) != 4:
-        raise ConstructionError("base point is not generic: tangency points collide")
+        raise PreconditionError("base point is not generic: tangency points collide")
     out = []
     for cl, _ in residual:
         line = HomogeneousPoly.linear_form(cross3(p, cl.center()), cl.field)

@@ -65,17 +65,19 @@ class GeometryCache:
       trials and seed;
     - branches: the longest re-substitution-checked coefficient list per
       (D equation, cluster); a request for a lower order is served by
-      truncating it.
+      truncating it;
+    - sheared: forms moved into a chart (nothing to check), keyed by (form, shear).
 
     `hits` and `misses` count lookups per map.
     """
 
-    MAPS = ("intersections", "verdicts", "branches")
+    MAPS = ("intersections", "verdicts", "branches", "sheared")
 
     def __init__(self):
         self.intersections = {}
         self.verdicts = {}
         self.branches = {}
+        self.sheared = {}
         self.hits = dict.fromkeys(self.MAPS, 0)
         self.misses = dict.fromkeys(self.MAPS, 0)
         self._token = None
@@ -181,20 +183,8 @@ class PlaneCurve:
 
 def _restrict_to_line(f, a, b):
     """f(u*a + b) as a univariate polynomial in u over f's field."""
-    field = f.field
-    su = UniPoly(field, [b[0], a[0]]), UniPoly(field, [b[1], a[1]]), UniPoly(field, [b[2], a[2]])
-    acc = UniPoly.zero(field)
-    cache = [{0: UniPoly.const(1, field)} for _ in range(3)]
-
-    def power(i, n):
-        c = cache[i]
-        if n not in c:
-            c[n] = power(i, n - 1) * su[i]
-        return c[n]
-
-    for (e0, e1, e2), coeff in f.terms.items():
-        acc = acc + power(0, e0) * power(1, e1) * power(2, e2) * coeff
-    return acc
+    x, y, z = (UniPoly(f.field, [b[i], a[i]]) for i in range(3))
+    return f.substitute(x, y, z, UniPoly.const(1, f.field))
 
 
 class ProjPointCluster:
@@ -365,7 +355,17 @@ class IntersectionDivisor:
 
 
 def _shear_polys(f, shear):
-    return f.linear_change(shear)
+    """f.linear_change(shear), kept for the request by the active cache."""
+    cache = _ACTIVE_CACHE.get()
+    if cache is None:
+        return f.linear_change(shear)
+    key = (f, shear)
+    if key in cache.sheared:
+        cache.hits["sheared"] += 1
+    else:
+        cache.misses["sheared"] += 1
+        cache.sheared[key] = f.linear_change(shear)
+    return cache.sheared[key]
 
 
 def _slice(f, i):
@@ -512,23 +512,18 @@ class LocalParam:
 
     def original_series(self):
         """Series for the original x, y, z coordinates along the branch."""
-        field = self.cluster.field
         sx, sy, sz = self.chart_series()
-        out = []
-        for i in range(3):
-            row = self.cluster.shear[i]
-            acc = sx.scale(field.coerce(row[0]))
-            acc = acc + sy.scale(field.coerce(row[1]))
-            acc = acc + sz.scale(field.coerce(row[2]))
-            out.append(acc)
-        return tuple(out)
+        return tuple(sx * a + sy * b + sz * c for a, b, c in self.cluster.shear)
 
 
 def local_param(d: PlaneCurve, cluster: ProjPointCluster, order: int) -> LocalParam:
     """Newton lifting of the branch of D through the cluster, exact to s^order.
 
-    Coefficient k depends only on the ones before it, so a cached branch of
-    at least this order is truncated.
+    Each step doubles the number of known coefficients of Y(s): from m to
+    2m it evaluates the sheared equation F and F_y along the chart series by
+    Horner's scheme (`eval_form_on_series`) and divides.  Coefficient k
+    depends only on the ones before it, so a cached branch of at least this
+    order is truncated.  The full branch is re-substituted at the end.
     """
     cache = _ACTIVE_CACHE.get()
     if cache is not None:
@@ -554,15 +549,15 @@ def local_param(d: PlaneCurve, cluster: ProjPointCluster, order: int) -> LocalPa
     check0 = fa.as_unipoly_in_y(x_value=th).eval(y0)
     if not field.is_zero(check0):
         raise GeometryError("cluster does not lie on the curve")
-    inv_fy = 1 / fy
-    ys = [y0]
-    for k in range(1, order + 1):
-        sx = TruncSeries(field, k, [th, field.one])
-        sy = TruncSeries(field, k, ys)
-        sz = TruncSeries.constant(field, k, field.one)
-        val = eval_form_on_series(fa, sx, sy, sz)
-        ck = -(val.coeff(k) * inv_fy)
-        ys.append(ck)
+    inv_fy, fy_form, ys = 1 / fy, fa.diff(1), [y0]
+    while len(ys) <= order:
+        # Newton step from m to n coefficients: Y - F / F_y mod s^n
+        m, n = len(ys), min(2 * len(ys), order + 1)
+        q = eval_form_on_series(fa, *LocalParam(cluster, n - 1, ys).chart_series()).coeffs
+        dv = eval_form_on_series(fy_form, *LocalParam(cluster, n - m - 1, ys).chart_series()).coeffs
+        for k in range(m, n):  # F vanishes below s^m; divide by F_y, of constant term fy
+            fk = sum((dv[t] * ys[k - t] for t in range(1, k - m + 1)), q[k])
+            ys.append(-(fk * inv_fy))
     param = LocalParam(cluster, order, ys)
     sx, sy, sz = param.chart_series()
     resid = eval_form_on_series(fa, sx, sy, sz)
@@ -576,20 +571,20 @@ def local_param(d: PlaneCurve, cluster: ProjPointCluster, order: int) -> LocalPa
 def order_along(d: PlaneCurve, cluster: ProjPointCluster, h: HomogeneousPoly, cap: int):
     """Valuation of h along D's branch at the cluster.
 
-    Returns the exact valuation when it is at most cap, or None for
-    "greater than cap".  Raises VanishesOnCurveError when h is divisible by
-    D's equation, since then the restriction is identically zero.
+    h is sheared into the branch's chart and evaluated on the chart series
+    (theta + s, Y(s), 1).  Returns the exact valuation when it is at most
+    cap, or None for "greater than cap".  Raises VanishesOnCurveError when h
+    is divisible by D's equation, since then the restriction is identically
+    zero.
     """
     if h.is_zero():
         raise VanishesOnCurveError("the zero form vanishes on the curve")
     if h.degree >= d.degree and h.divisible_by(d.equation):
         raise VanishesOnCurveError("form vanishes identically on the curve")
     param = local_param(d, cluster, cap)
-    field = cluster.field
-    sx, sy, sz = param.original_series()
-    hh = h if h.field == field else h.to_field(field)
-    val = eval_form_on_series(hh, sx, sy, sz)
-    return val.valuation()
+    # the branch's own chart: local_param re-charts a degenerate cluster
+    hh = _shear_polys(h, param.cluster.shear)
+    return eval_form_on_series(hh, *param.chart_series()).valuation()
 
 
 def eval_at_cluster(h: HomogeneousPoly, cluster: ProjPointCluster):

@@ -46,6 +46,8 @@ class RationalField:
         return Fraction(1)
 
     def coerce(self, x):
+        if type(x) is Fraction:
+            return x
         if isinstance(x, RatLike):
             return Fraction(x)
         if isinstance(x, AlgNum) and x.field.degree == 1:

@@ -172,14 +172,37 @@ class HomogeneousPoly:
 
     def eval(self, point):
         """Evaluate at a triple of scalars from a compatible field."""
+        return self.substitute(*point, self.field.one)
+
+    def substitute(self, x, y, z, one):
+        """The form at three elements of a ring with + and *, by Horner's scheme.
+
+        With f = sum_j y^j a_j(x, z), the outer loop runs acc = acc * y + a_j
+        from the top y-degree down; each a_j is evaluated by Horner in x with
+        z-powers from one table.  ``one`` is the ring's unit; scalars multiply
+        ring elements from the right.
+        """
+        zpow = [one]
+        for _ in range(self.degree):
+            zpow.append(zpow[-1] * z)
+        rows = {}
+        for (a, b, _), c in self.terms.items():
+            rows.setdefault(b, {})[a] = c
         acc = None
-        for e, c in self.terms.items():
-            v = c
-            for i in range(3):
-                if e[i]:
-                    v = v * point[i] ** e[i]
-            acc = v if acc is None else acc + v
-        return self.field.zero if acc is None else acc
+        for j in range(max(rows, default=-1), -1, -1):
+            if acc is not None:
+                acc = acc * y
+            row = rows.get(j, {})
+            aj = None
+            for i in range(max(row, default=-1), -1, -1):
+                if aj is not None:
+                    aj = aj * x
+                if i in row:
+                    term = zpow[self.degree - j - i] * row[i]
+                    aj = term if aj is None else aj + term
+            if aj is not None:
+                acc = aj if acc is None else acc + aj
+        return one * self.field.zero if acc is None else acc
 
     def linear_change(self, matrix):
         """f(M.X): substitute each variable by the matching row combination.
@@ -187,20 +210,8 @@ class HomogeneousPoly:
         ``matrix`` has rows M[i] so that old variable i becomes
         M[i][0]*x + M[i][1]*y + M[i][2]*z.
         """
-        forms = [HomogeneousPoly.linear_form(row, self.field) for row in matrix]
-        pow_cache = [{0: HomogeneousPoly(self.field, 0, {(0, 0, 0): self.field.one})} for _ in range(3)]
-
-        def power(i, n):
-            cache = pow_cache[i]
-            if n not in cache:
-                cache[n] = power(i, n - 1) * forms[i]
-            return cache[n]
-
-        out = HomogeneousPoly.zero(self.field)
-        for e, c in self.terms.items():
-            term = power(0, e[0]) * power(1, e[1]) * power(2, e[2])
-            out = out + term * c if not out.is_zero() else term * c
-        return out
+        x, y, z = (HomogeneousPoly.linear_form(row, self.field) for row in matrix)
+        return self.substitute(x, y, z, HomogeneousPoly(self.field, 0, {(0, 0, 0): self.field.one}))
 
     def as_unipoly_in_y(self, x_value=None):
         """Coefficients of powers of y after setting z = 1.

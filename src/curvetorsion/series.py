@@ -8,43 +8,48 @@ class TruncSeries:
 
     __slots__ = ("field", "order", "coeffs")
 
-    def __init__(self, field, order, coeffs):
-        cs = [field.coerce(c) for c in coeffs[: order + 1]]
-        cs += [field.zero] * (order + 1 - len(cs))
+    def __init__(self, field, order, coeffs, coerce=True):
+        # arithmetic passes coerce=False: its order + 1 coefficients are in the field
+        if coerce:
+            coeffs = [field.coerce(c) for c in coeffs[: order + 1]]
+            coeffs += [field.zero] * (order + 1 - len(coeffs))
         self.field = field
         self.order = order
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(coeffs)
 
     @classmethod
     def constant(cls, field, order, c):
         return cls(field, order, [c])
 
     def __add__(self, other):
-        order = min(self.order, other.order)
-        return TruncSeries(self.field, order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        order = min(self.order, other.order)
-        return TruncSeries(self.field, order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        order, is_zero = min(self.order, other.order), self.field.is_zero
+        out = [a if is_zero(b) else a + b for a, b in zip(self.coeffs[: order + 1], other.coeffs)]
+        return TruncSeries(self.field, order, out, coerce=False)
 
     def __mul__(self, other):
+        """Product skipping zero coefficients on both sides, so a factor with
+        few nonzero terms (theta + s, or 1) costs O(order)."""
         if not isinstance(other, TruncSeries):
-            return TruncSeries(self.field, self.order, [c * other for c in self.coeffs])
-        order = min(self.order, other.order)
-        out = [self.field.zero] * (order + 1)
+            return self.scale(other)
+        order, is_zero = min(self.order, other.order), self.field.is_zero
+        right = [(j, b) for j, b in enumerate(other.coeffs[: order + 1]) if not is_zero(b)]
+        out = [None] * (order + 1)
         for i, a in enumerate(self.coeffs[: order + 1]):
-            if self.field.is_zero(a):
+            if is_zero(a):
                 continue
-            for j in range(0, order + 1 - i):
-                b = other.coeffs[j]
-                if not self.field.is_zero(b):
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.field, order, out)
+            for j, b in right:
+                if i + j > order:
+                    break
+                prev = out[i + j]
+                out[i + j] = a * b if prev is None else prev + a * b
+        zero = self.field.zero
+        return TruncSeries(self.field, order, [zero if c is None else c for c in out], coerce=False)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        return TruncSeries(self.field, self.order, [a * c for a in self.coeffs])
+        is_zero = self.field.is_zero
+        return TruncSeries(self.field, self.order, [a if is_zero(a) else a * c for a in self.coeffs], coerce=False)
 
     def valuation(self):
         """Index of the first nonzero coefficient, or None if zero so far."""
@@ -74,12 +79,13 @@ def series_pow_cache(base: TruncSeries):
 
 
 def eval_form_on_series(form, sx, sy, sz):
-    """Evaluate a homogeneous form at three series with compatible field."""
-    px, py, pz = series_pow_cache(sx), series_pow_cache(sy), series_pow_cache(sz)
+    """Evaluate a homogeneous form at three series with compatible field.
+
+    Horner's scheme (`HomogeneousPoly.substitute`, after Brent-Kung 1978): a
+    form of degree d takes d dense products by sy, and the products by sx
+    and sz cost O(order) each when those are chart series (theta + s and 1),
+    since products skip zero coefficients.
+    """
     field = sx.field
-    order = min(sx.order, sy.order, sz.order)
-    acc = TruncSeries(field, order, [])
-    for (a, b, c), coeff in form.terms.items():
-        term = px(a) * py(b) * pz(c)
-        acc = acc + term.scale(field.coerce(coeff))
-    return acc
+    one = TruncSeries.constant(field, min(sx.order, sy.order, sz.order), field.one)
+    return form.to_field(field).substitute(sx, sy, sz, one)

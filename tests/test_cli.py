@@ -264,3 +264,39 @@ def test_torsion_computes_each_part_order_once(monkeypatch, capsys):
     assert len(calls) == dec.k
     assert results["orders"] == [r.order for r in direct]
     assert results["witnesses"] == [r.witness.text() for r in direct]
+
+
+LINE_ON_FERMAT = json.dumps(
+    {
+        "curves": [{"name": "L", "poly": "x + y"}, {"name": "E", "poly": "x^3 + y^3 + z^3"}],
+        "typed_pairs": [{"d": "L", "c": "E"}],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--recipe", "transversal", "--degrees", "4", "1"],
+        # the inflection tangent types (1,3;3,1), against which no power-k conclusion holds
+        ["construct", "--recipe", "power-k", "--k", "3", "--from", "LINE_ON_FERMAT"],
+    ],
+    ids=["transversal-d0-above-d1", "power-k-without-conclusion"],
+)
+def test_recipe_precondition_is_an_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(LINE_ON_FERMAT)
+    assert main([str(path) if a == "LINE_ON_FERMAT" else a for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_failed_recipe_search_is_a_certification_failure(monkeypatch, capsys):
+    from curvetorsion import construct
+    from curvetorsion.homopoly import HomogeneousPoly
+
+    # every draw is a multiple line, so no transversal pair is ever found
+    monkeypatch.setattr(construct, "rand_form", lambda d, rng: HomogeneousPoly.variable(0) ** d)
+    assert main(["construct", "--recipe", "transversal", "--degrees", "2", "3"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("certification failure: no transversal pair") and "Traceback" not in err

@@ -280,3 +280,29 @@ def test_cached_intersection_carries_the_callers_curves(geometry_cache):
     assert geometry_cache.hits["intersections"] == 1
     assert again.on_curve.name == "D2"
     assert again.clusters == first.clusters
+
+
+def test_order_along_uses_the_rechart_of_a_degenerate_cluster():
+    # on xz = y^2 at (0:0:1) the chart X = x, Y = y has dF/dY = 0 at the
+    # center, so local_param re-charts; the valuations must be those of the
+    # branch in original coordinates
+    d = curve({(1, 0, 1): 1, (0, 2, 0): -1}, "D")
+    cl = cluster_from_point((0, 0, 1))
+    assert cl.shear[0][0] == 1 and cl.shear[1][1] == 1
+    param = local_param(d, cl, 6)
+    assert param.cluster.shear != cl.shear
+    expected = {"x": 2, "y": 1, "z": 0, "x + y": 1, "x*z + y^2": 2, "x^2*z - y^3": 3}
+    for text, v in expected.items():
+        h = parse_poly(text)
+        along = eval_form_on_series(h, *param.original_series()).valuation()
+        assert order_along(d, cl, h, cap=6) == along == v
+
+
+def test_sheared_forms_are_served_within_a_request(geometry_cache):
+    d = curve({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -5}, "D")
+    c = curve({(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1, (2, 0, 1): -3}, "C")
+    intersect(d, c, rng_seed=1)
+    # the valuation cross-check re-shears both curves by the divisor's shear
+    assert geometry_cache.hits["sheared"] > 0
+    for (f, shear), g in geometry_cache.sheared.items():
+        assert g == f.linear_change(shear)

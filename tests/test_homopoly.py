@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from curvetorsion.fields import QQ, NumberField
 from curvetorsion.homopoly import HomogeneousPoly, euler_check, hessian_det, monomials
+from curvetorsion.linalg import cross3, det3
 
 
 def form(terms):
@@ -77,3 +79,31 @@ def test_eval_over_number_field():
 def test_text_is_graded_lex():
     f = form({(0, 0, 2): 1, (2, 0, 0): -1, (1, 1, 0): 2})
     assert f.text() == "-x^2 + 2*x*y + z^2"
+
+
+int_matrix = st.lists(st.integers(min_value=-3, max_value=3), min_size=9, max_size=9).map(
+    lambda v: [[Fraction(v[3 * i + j]) for j in range(3)] for i in range(3)]
+)
+
+
+def _inverse(m):
+    """Inverse of an invertible 3x3 matrix by the adjugate."""
+    det = det3(m)
+    cols = [cross3(m[1], m[2]), cross3(m[2], m[0]), cross3(m[0], m[1])]
+    return [[cols[j][i] / det for j in range(3)] for i in range(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda d: st.dictionaries(st.sampled_from(monomials(d)), st.integers(-5, 5), min_size=1)
+    ),
+    int_matrix,
+    int_matrix,
+)
+def test_linear_change_composes_and_inverts(terms, m, n):
+    assume(det3(m) != 0 and det3(n) != 0)
+    f = form(terms)
+    mn = [[sum(m[i][k] * n[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    assert f.linear_change(m).linear_change(n) == f.linear_change(mn)
+    assert f.linear_change(m).linear_change(_inverse(m)) == f

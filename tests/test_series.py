@@ -1,0 +1,90 @@
+"""Horner evaluation of forms along series, against the power-product sum."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from curvetorsion.fields import QQ, NumberField
+from curvetorsion.homopoly import HomogeneousPoly, monomials
+from curvetorsion.series import TruncSeries, eval_form_on_series
+
+FIELDS = [QQ, NumberField([-2, 0, 1], symbol="t"), NumberField([-2, 0, 0, 0, 1], symbol="t")]
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _mul(a, b, order):
+    """Plain truncated convolution of coefficient lists, no zero skipping."""
+    out = [a[0] * 0] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] = out[i + j] + a[i] * b[j]
+    return out
+
+
+def power_product_sum(form, sx, sy, sz):
+    """The evaluation before Horner: power tables of each series and two
+    products per term, here on plain coefficient lists."""
+    field = sx.field
+    order = min(sx.order, sy.order, sz.order)
+    one = [field.one] + [field.zero] * order
+    tables = []
+    for s in (sx, sy, sz):
+        powers = [one]
+        for _ in range(form.degree):
+            powers.append(_mul(powers[-1], list(s.coeffs), order))
+        tables.append(powers)
+    acc = [field.zero] * (order + 1)
+    for (a, b, c), coeff in form.terms.items():
+        term = _mul(_mul(tables[0][a], tables[1][b], order), tables[2][c], order)
+        k = field.coerce(coeff)
+        acc = [u + v * k for u, v in zip(acc, term)]
+    return acc
+
+
+@st.composite
+def element(draw, field):
+    if field == QQ:
+        return draw(small)
+    return field.element(draw(st.lists(small, min_size=field.degree, max_size=field.degree)))
+
+
+@st.composite
+def case(draw):
+    field = draw(st.sampled_from(FIELDS))
+    degree = draw(st.integers(min_value=1, max_value=6))
+    coeff_field = draw(st.sampled_from([QQ, field]))
+    terms = {}
+    for m in draw(st.lists(st.sampled_from(monomials(degree)), min_size=1, max_size=8, unique=True)):
+        terms[m] = draw(element(coeff_field))
+    form = HomogeneousPoly(coeff_field, degree, terms)
+    order = draw(st.integers(min_value=0, max_value=5))
+
+    def series(n):
+        return TruncSeries(field, order, draw(st.lists(element(field), min_size=n, max_size=n)))
+
+    if draw(st.booleans()):  # a chart branch: theta + s, Y(s), 1
+        theta = field.gen if field != QQ else draw(small)
+        return form, TruncSeries(field, order, [theta, field.one]), series(order + 1), \
+            TruncSeries.constant(field, order, field.one)
+    return form, series(order + 1), series(order + 1), series(order + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case())
+def test_horner_equals_the_power_product_sum(c):
+    form, sx, sy, sz = c
+    got = eval_form_on_series(form, sx, sy, sz)
+    assert got.order == min(sx.order, sy.order, sz.order)
+    assert list(got.coeffs) == power_product_sum(form, sx, sy, sz)
+
+
+def test_zero_form_and_mixed_orders():
+    field = FIELDS[1]
+    sx = TruncSeries(field, 4, [field.gen, 1])
+    sy = TruncSeries(field, 2, [Fraction(1, 2), 3, field.gen])
+    sz = TruncSeries.constant(field, 5, 1)
+    zero = eval_form_on_series(HomogeneousPoly.zero(), sx, sy, sz)
+    assert zero.order == 2 and zero.valuation() is None
+    f = HomogeneousPoly.from_terms({(2, 1, 0): 1, (0, 0, 3): -2})
+    assert list(eval_form_on_series(f, sx, sy, sz).coeffs) == power_product_sum(f, sx, sy, sz)
