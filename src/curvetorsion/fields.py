@@ -8,12 +8,19 @@ immutable and hashable, so they can be shared freely between threads.
 Both kinds of scalar support +, -, *, / (``1 / x`` is the inverse) and ==
 with each other and with ints, so this is the only module that chooses
 arithmetic by scalar type.
+
+Each field also has an integer form for bulk arithmetic (the series kernel):
+``int_coords`` writes values as integer coordinate vectors over one common
+positive denominator, ``from_int_coords`` reads one back, and ``red_num`` /
+``red_den`` are the reduction rows of the minimal polynomial over one
+denominator R (Cohen 1993, 4.2).  Q is the degree-1 case with no rows, R = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 # The exact rational scalar type used throughout the package.
 Rat = Fraction
@@ -28,6 +35,12 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
+def _int_coords(cols):
+    """Coordinate tuples of Fractions/ints as (int tuples, one denominator L > 0)."""
+    den = lcm(*(c.denominator for col in cols for c in col))
+    return [tuple(c.numerator * (den // c.denominator) for c in col) for col in cols], den
+
+
 class FieldError(ValueError):
     pass
 
@@ -36,6 +49,8 @@ class RationalField:
     """The field Q.  A stateless singleton used as the default base field."""
 
     degree = 1
+    red_num = ()
+    red_den = 1
 
     @property
     def zero(self):
@@ -58,6 +73,13 @@ class RationalField:
 
     def is_zero(self, x):
         return x == 0
+
+    def int_coords(self, values):
+        """Values as 1-tuples of ints over one common denominator."""
+        return _int_coords([(self.coerce(x),) for x in values])
+
+    def from_int_coords(self, vec, den):
+        return Fraction(vec[0], den)
 
     def __repr__(self):
         return "QQ"
@@ -97,6 +119,9 @@ class NumberField:
                 raise FieldError(f"minimal polynomial {list(coeffs)} is reducible over Q")
         # rows[k] = coordinates of t^(deg+k) in the power basis, k = 0..deg-2
         self._red_rows = self._reduction_rows()
+        # the same rows as integers over one denominator: t^(deg+k) = red_num[k] / red_den
+        self.red_num, self.red_den = _int_coords(self._red_rows[: self.degree - 1])
+        self._zeros = (0,) * (self.degree - 1)
 
     def _reduction_rows(self):
         d = self.degree
@@ -185,6 +210,20 @@ class NumberField:
 
     def is_zero(self, x):
         return self.coerce(x).is_zero()
+
+    def int_coords(self, values):
+        """Power-basis coordinates of the values as int tuples over one
+        common denominator L > 0: value i is ints[i] / L."""
+        cols = []
+        for x in values:
+            if type(x) is Fraction or type(x) is int:
+                cols.append((x,) + self._zeros)
+            else:
+                cols.append(self.coerce(x).coords)
+        return _int_coords(cols)
+
+    def from_int_coords(self, vec, den):
+        return AlgNum(self, tuple(Fraction(n, den) for n in vec))
 
     def conjugate(self, x):
         """The nontrivial conjugate, degree-2 fields only."""

@@ -38,11 +38,14 @@ class HomogeneousPoly:
             if sum(exps) != degree or min(exps) < 0:
                 raise ValueError(f"exponent triple {exps} does not have degree {degree}")
             clean[tuple(exps)] = c
-        if not clean:
-            degree = 0
-        self.field = field
-        self.degree = degree
-        self.terms = clean
+        self.field, self.degree, self.terms = field, degree if clean else 0, clean
+
+    @classmethod
+    def _trusted(cls, field, degree, terms):
+        """Arithmetic results: exponents of the right degree, nonzero field scalars."""
+        f = cls.__new__(cls)
+        f.field, f.degree, f.terms = field, degree if terms else 0, terms
+        return f
 
     @classmethod
     def zero(cls, field=QQ):
@@ -102,7 +105,7 @@ class HomogeneousPoly:
     def to_field(self, field):
         if field == self.field:
             return self
-        return HomogeneousPoly(field, self.degree, {e: field.coerce(c) for e, c in self.terms.items()})
+        return HomogeneousPoly._trusted(field, self.degree, {e: field.coerce(c) for e, c in self.terms.items()})
 
     def __add__(self, other):
         a, b = self._coerce_pair(other)
@@ -114,24 +117,23 @@ class HomogeneousPoly:
             raise ValueError("cannot add forms of different degrees")
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            terms[e] = terms.get(e, a.field.zero) + c
-        return HomogeneousPoly(a.field, a.degree, terms)
+            terms[e] = terms[e] + c if e in terms else c
+        return HomogeneousPoly._trusted(a.field, a.degree, _nonzero(a.field, terms))
 
     def __neg__(self):
-        return HomogeneousPoly(self.field, self.degree, {e: -c for e, c in self.terms.items()})
+        return HomogeneousPoly._trusted(self.field, self.degree, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = self.field.coerce(other)
-            return HomogeneousPoly(self.field, self.degree, {e: v * c for e, v in self.terms.items()})
-        if isinstance(other, AlgNum):
-            field = common_field(self.field, other.field)
-            me = self.to_field(field)
+        if isinstance(other, (int, Fraction, AlgNum)):
+            field = self.field if not isinstance(other, AlgNum) else common_field(self.field, other.field)
             c = field.coerce(other)
-            return HomogeneousPoly(field, me.degree, {e: v * c for e, v in me.terms.items()})
+            if field.is_zero(c):
+                return HomogeneousPoly.zero(field)
+            me = self.to_field(field)
+            return HomogeneousPoly._trusted(field, me.degree, {e: v * c for e, v in me.terms.items()})
         a, b = self._coerce_pair(other)
         if a.is_zero() or b.is_zero():
             return HomogeneousPoly.zero(a.field)
@@ -141,7 +143,7 @@ class HomogeneousPoly:
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                 prev = terms.get(e)
                 terms[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return HomogeneousPoly(a.field, a.degree + b.degree, terms)
+        return HomogeneousPoly._trusted(a.field, a.degree + b.degree, _nonzero(a.field, terms))
 
     __rmul__ = __mul__
 
@@ -165,7 +167,7 @@ class HomogeneousPoly:
             terms[tuple(ne)] = c * e[i]
         if not terms:
             return HomogeneousPoly.zero(self.field)
-        return HomogeneousPoly(self.field, self.degree - 1, terms)
+        return HomogeneousPoly._trusted(self.field, self.degree - 1, terms)
 
     def gradient(self):
         return (self.diff(0), self.diff(1), self.diff(2))
@@ -175,33 +177,10 @@ class HomogeneousPoly:
         return self.substitute(*point, self.field.one)
 
     def substitute(self, x, y, z, one):
-        """The form at three elements of a ring with + and *, by Horner's scheme.
-
-        With f = sum_j y^j a_j(x, z), the outer loop runs acc = acc * y + a_j
-        from the top y-degree down; each a_j is evaluated by Horner in x with
-        z-powers from one table.  ``one`` is the ring's unit; scalars multiply
-        ring elements from the right.
-        """
-        zpow = [one]
-        for _ in range(self.degree):
-            zpow.append(zpow[-1] * z)
-        rows = {}
-        for (a, b, _), c in self.terms.items():
-            rows.setdefault(b, {})[a] = c
-        acc = None
-        for j in range(max(rows, default=-1), -1, -1):
-            if acc is not None:
-                acc = acc * y
-            row = rows.get(j, {})
-            aj = None
-            for i in range(max(row, default=-1), -1, -1):
-                if aj is not None:
-                    aj = aj * x
-                if i in row:
-                    term = zpow[self.degree - j - i] * row[i]
-                    aj = term if aj is None else aj + term
-            if aj is not None:
-                acc = aj if acc is None else acc + aj
+        """The form at three elements of a ring with + and *, by Horner's scheme
+        (`horner`).  ``one`` is the ring's unit; scalars multiply ring
+        elements from the right."""
+        acc = horner(self.degree, self.terms, x, y, z, one)
         return one * self.field.zero if acc is None else acc
 
     def linear_change(self, matrix):
@@ -267,7 +246,7 @@ class HomogeneousPoly:
                     work[te] = work.get(te, field.zero) - q_c * gc
             else:
                 rem[e] = c
-        return HomogeneousPoly(field, a.degree if rem else 0, rem)
+        return HomogeneousPoly._trusted(field, a.degree, rem)
 
     def divisible_by(self, g):
         return self.reduce_mod(g).is_zero()
@@ -304,6 +283,42 @@ class HomogeneousPoly:
 
     def __repr__(self):
         return f"HomogeneousPoly({self.text()})"
+
+
+def _nonzero(field, terms):
+    return {e: c for e, c in terms.items() if not field.is_zero(c)}
+
+
+def horner(degree, terms, x, y, z, one):
+    """sum c * x^a y^b z^e over terms {(a, b, e): c} of the given degree, by
+    Horner's scheme; None when there are no terms.
+
+    With f = sum_j y^j a_j(x, z), the outer loop runs acc = acc * y + a_j
+    from the top y-degree down; each a_j is evaluated by Horner in x with
+    z-powers from one table.  ``one`` is the ring's unit; the scalars c are
+    anything that multiplies ring elements from the right.
+    """
+    zpow = [one]
+    for _ in range(degree):
+        zpow.append(zpow[-1] * z)
+    rows = {}
+    for (a, b, _), c in terms.items():
+        rows.setdefault(b, {})[a] = c
+    acc = None
+    for j in range(max(rows, default=-1), -1, -1):
+        if acc is not None:
+            acc = acc * y
+        row = rows.get(j, {})
+        aj = None
+        for i in range(max(row, default=-1), -1, -1):
+            if aj is not None:
+                aj = aj * x
+            if i in row:
+                term = zpow[degree - j - i] * row[i]
+                aj = term if aj is None else aj + term
+        if aj is not None:
+            acc = aj if acc is None else acc + aj
+    return acc
 
 
 def _coeff_text(c):

@@ -26,7 +26,7 @@ from .curves import (
 )
 from .homopoly import HomogeneousPoly, monomials
 from .linalg import in_row_span, kernel_basis
-from .series import series_pow_cache
+from .series import TruncSeries
 
 
 class PicardError(ValueError):
@@ -125,17 +125,22 @@ def _cluster_condition_rows(d: PlaneCurve, cluster: ProjPointCluster, need: int,
 
     One Galois orbit contributes need * (cluster field degree over the base)
     rows: the first coefficients of every monomial along the branch, expanded
-    in the power basis of the cluster field.
+    in the power basis of the cluster field.  The monomials are products of
+    power tables of the branch series, kept to the need coefficients read.
     """
     param = local_param(d, cluster, order=need + 1)
-    sx, sy, sz = param.original_series()
-    px, py, pz = series_pow_cache(sx), series_pow_cache(sy), series_pow_cache(sz)
-    cols = []
-    for (a, b, c) in monos:
-        cols.append(px(a) * py(b) * pz(c))
+    one = TruncSeries.constant(cluster.field, need - 1, 1)
+    tables = []
+    for s in param.original_series():
+        powers = [one]
+        for _ in range(sum(monos[0])):
+            powers.append(powers[-1] * s)
+        tables.append(powers)
+    cols = [tables[0][a] * tables[1][b] * tables[2][c] for a, b, c in monos]
     rows = []
     for i in range(need):
-        coords = [cluster.base_coords(col.coeff(i)) for col in cols]
+        # as `cluster.base_coords`: power-basis coordinates of an orbit's values
+        coords = [col.coords(i) if cluster.size > 1 else (col.coeff(i),) for col in cols]
         rows.extend(list(row) for row in zip(*coords))
     return rows
 

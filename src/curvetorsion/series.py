@@ -1,91 +1,164 @@
-"""Truncated power series in one local parameter s, exact coefficients."""
+"""Truncated power series in one local parameter s, exact coefficients.
+
+A series over a field K of degree d is stored as integers: row i holds the d
+power-basis coordinates of coefficient i as ints, and one positive
+denominator serves the whole series (Q is the case d = 1).  The field's
+`int_coords` / `from_int_coords` convert between field elements and this
+form, and its `red_num` / `red_den` rows reduce t^(d+k) modulo the minimal
+polynomial.
+"""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
+from math import gcd
+
+from .homopoly import horner
+
 
 class TruncSeries:
-    """Coefficients c[0..order] of a series known modulo s^(order+1)."""
+    """Coefficients c[0..order] of a series known modulo s^(order+1).
 
-    __slots__ = ("field", "order", "coeffs")
+    ``rows[i]`` are the integer power-basis coordinates of c[i] and ``den``
+    is their one common denominator, so c[i] = rows[i] / den.  Construction
+    takes the least common denominator and arithmetic removes the content
+    (the gcd of den and every numerator) once per result, so den > 0 and
+    that gcd is 1 for every series.
+    ``coeffs`` and ``coeff(i)`` give the coefficients as field elements
+    (``Fraction`` or ``AlgNum``), ``coords(i)`` the coordinates of one.
+    """
 
-    def __init__(self, field, order, coeffs, coerce=True):
-        # arithmetic passes coerce=False: its order + 1 coefficients are in the field
-        if coerce:
-            coeffs = [field.coerce(c) for c in coeffs[: order + 1]]
-            coeffs += [field.zero] * (order + 1 - len(coeffs))
+    __slots__ = ("field", "order", "rows", "den")
+
+    def __init__(self, field, order, coeffs):
+        coeffs = list(coeffs[: order + 1])
+        coeffs += [0] * (order + 1 - len(coeffs))
         self.field = field
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self.rows, self.den = field.int_coords(coeffs)
+
+    @classmethod
+    def _from_ints(cls, field, order, rows, den):
+        """Series rows / den with the content removed."""
+        s = cls.__new__(cls)
+        g = gcd(den, *chain.from_iterable(rows)) if den > 1 else 1
+        if g > 1:
+            rows = [tuple(x // g for x in row) for row in rows]
+            den //= g
+        s.field, s.order, s.rows, s.den = field, order, rows, den
+        return s
 
     @classmethod
     def constant(cls, field, order, c):
         return cls(field, order, [c])
 
+    @property
+    def coeffs(self):
+        return tuple(self.field.from_int_coords(row, self.den) for row in self.rows)
+
+    def coeff(self, i):
+        return self.field.from_int_coords(self.rows[i], self.den)
+
+    def coords(self, i):
+        """Power-basis coordinates of c[i] as Fractions, read off the integers."""
+        return tuple(Fraction(n, self.den) for n in self.rows[i])
+
     def __add__(self, other):
-        order, is_zero = min(self.order, other.order), self.field.is_zero
-        out = [a if is_zero(b) else a + b for a, b in zip(self.coeffs[: order + 1], other.coeffs)]
-        return TruncSeries(self.field, order, out, coerce=False)
+        order = min(self.order, other.order)
+        a, b = self.rows[: order + 1], other.rows[: order + 1]
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        rows = [tuple(x * fa + y * fb for x, y in zip(ra, rb)) for ra, rb in zip(a, b)]
+        return TruncSeries._from_ints(self.field, order, rows, fa * self.den)
 
     def __mul__(self, other):
-        """Product skipping zero coefficients on both sides, so a factor with
-        few nonzero terms (theta + s, or 1) costs O(order)."""
+        """Schoolbook product on the integer rows.
+
+        Zero coefficients are skipped on both sides (and zero coordinates
+        within a coefficient), so a factor with few nonzero terms (theta + s,
+        or 1) costs O(order).  Each output coefficient is accumulated as an
+        unreduced polynomial in t of length 2d - 1 and reduced modulo the
+        minimal polynomial once.  A tuple of d ints is a scalar with
+        denominator 1 (see `eval_form_on_series`); any other non-series is a
+        field element.
+        """
         if not isinstance(other, TruncSeries):
-            return self.scale(other)
-        order, is_zero = min(self.order, other.order), self.field.is_zero
-        right = [(j, b) for j, b in enumerate(other.coeffs[: order + 1]) if not is_zero(b)]
-        out = [None] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if is_zero(a):
-                continue
-            for j, b in right:
-                if i + j > order:
-                    break
-                prev = out[i + j]
-                out[i + j] = a * b if prev is None else prev + a * b
-        zero = self.field.zero
-        return TruncSeries(self.field, order, [zero if c is None else c for c in out], coerce=False)
+            if type(other) is tuple:
+                return self._mul_rows([other], 1, self.order)
+            vecs, den = self.field.int_coords([other])
+            return self._mul_rows(vecs, den, self.order)
+        return self._mul_rows(other.rows, other.den, min(self.order, other.order))
 
     __rmul__ = __mul__
 
+    def _mul_rows(self, right_rows, right_den, order):
+        field = self.field
+        d = field.degree
+        right = []
+        for j, row in enumerate(right_rows[: order + 1]):
+            nz = [(v, b) for v, b in enumerate(row) if b]
+            if nz:
+                right.append((j, nz))
+        acc = [None] * (order + 1)
+        for i, row in enumerate(self.rows[: order + 1]):
+            left = [(u, a) for u, a in enumerate(row) if a]
+            if not left:
+                continue
+            for j, nz in right:
+                k = i + j
+                if k > order:
+                    break
+                p = acc[k]
+                if p is None:
+                    p = acc[k] = [0] * (2 * d - 1)
+                for u, a in left:
+                    for v, b in nz:
+                        p[u + v] += a * b
+        red, r = field.red_num, field.red_den
+        zero, out = (0,) * d, []
+        for p in acc:
+            if p is None:
+                out.append(zero)
+                continue
+            low = p[:d] if r == 1 else [r * c for c in p[:d]]
+            for l, c in enumerate(p[d:]):
+                if c:
+                    row = red[l]
+                    for u in range(d):
+                        low[u] += c * row[u]
+            out.append(tuple(low))
+        return TruncSeries._from_ints(field, order, out, self.den * right_den * r)
+
     def scale(self, c):
-        is_zero = self.field.is_zero
-        return TruncSeries(self.field, self.order, [a if is_zero(a) else a * c for a in self.coeffs], coerce=False)
+        return self * c
 
     def valuation(self):
         """Index of the first nonzero coefficient, or None if zero so far."""
-        for i, c in enumerate(self.coeffs):
-            if not self.field.is_zero(c):
+        for i, row in enumerate(self.rows):
+            if any(row):
                 return i
         return None
-
-    def coeff(self, i):
-        return self.coeffs[i]
 
     def __repr__(self):
         return f"TruncSeries(order={self.order}, {list(self.coeffs)})"
 
 
-def series_pow_cache(base: TruncSeries):
-    """Memoized nonnegative powers of a series."""
-    one = TruncSeries.constant(base.field, base.order, base.field.one)
-    cache = {0: one}
-
-    def power(n):
-        if n not in cache:
-            cache[n] = power(n - 1) * base
-        return cache[n]
-
-    return power
-
-
 def eval_form_on_series(form, sx, sy, sz):
-    """Evaluate a homogeneous form at three series with compatible field.
+    """Evaluate a homogeneous form at three series over one field.
 
-    Horner's scheme (`HomogeneousPoly.substitute`, after Brent-Kung 1978): a
-    form of degree d takes d dense products by sy, and the products by sx
-    and sz cost O(order) each when those are chart series (theta + s and 1),
-    since products skip zero coefficients.
+    The form's scalars are converted once per call to integer coordinate
+    vectors over one denominator D; Horner's scheme (`homopoly.horner`,
+    after Brent-Kung 1978) then runs on integer series, taking d dense
+    products by sy for a form of degree d, while the products by sx and sz
+    cost O(order) each when those are chart series (theta + s and 1).  The
+    result is divided by D at the end.
     """
     field = sx.field
-    one = TruncSeries.constant(field, min(sx.order, sy.order, sz.order), field.one)
-    return form.to_field(field).substitute(sx, sy, sz, one)
+    order = min(sx.order, sy.order, sz.order)
+    vecs, den = field.int_coords(list(form.terms.values()))
+    one = TruncSeries.constant(field, order, field.one)
+    acc = horner(form.degree, dict(zip(form.terms, vecs)), sx, sy, sz, one)
+    if acc is None:
+        return TruncSeries(field, order, [])
+    return TruncSeries._from_ints(field, order, acc.rows, acc.den * den)

@@ -1,6 +1,7 @@
 """Horner evaluation of forms along series, against the power-product sum."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -88,3 +89,73 @@ def test_zero_form_and_mixed_orders():
     assert zero.order == 2 and zero.valuation() is None
     f = HomogeneousPoly.from_terms({(2, 1, 0): 1, (0, 0, 3): -2})
     assert list(eval_form_on_series(f, sx, sy, sz).coeffs) == power_product_sum(f, sx, sy, sz)
+
+
+# Representation: integer rows over one denominator, against the plain convolution.
+
+INT_FIELDS = [
+    QQ,
+    NumberField([Fraction(-5, 2), 1], symbol="t"),  # degree 1: t = 5/2
+    FIELDS[1],  # Q(sqrt 2)
+    FIELDS[2],  # Q(2^(1/4))
+    NumberField([Fraction(5, 7), Fraction(-1, 3), 1], symbol="t"),  # reduction rows over R = 21
+]
+
+
+@st.composite
+def sparse_element(draw, field):
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return field.zero
+    coords = draw(st.lists(small, min_size=field.degree, max_size=field.degree))
+    return coords[0] if field == QQ else field.element(coords)
+
+
+@st.composite
+def series_pair(draw):
+    field = draw(st.sampled_from(INT_FIELDS))
+    oa, ob = draw(st.integers(min_value=0, max_value=6)), draw(st.integers(min_value=0, max_value=6))
+    a = draw(st.lists(sparse_element(field), min_size=oa + 1, max_size=oa + 1))
+    b = draw(st.lists(sparse_element(field), min_size=ob + 1, max_size=ob + 1))
+    return field, a, b, draw(sparse_element(field))
+
+
+def _normalized(s):
+    """Positive denominator, coprime to the gcd of all numerators."""
+    return s.den > 0 and gcd(s.den, *(n for row in s.rows for n in row)) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_pair())
+def test_integer_rows_agree_with_the_plain_convolution(c):
+    field, a, b, k = c
+    sa, sb = TruncSeries(field, len(a) - 1, a), TruncSeries(field, len(b) - 1, b)
+    order = min(sa.order, sb.order)
+    assert list(sa.coeffs) == a and [sa.coeff(i) for i in range(len(a))] == a
+    assert all(type(x) is type(field.zero) for x in sa.coeffs)
+    prod, total, scaled = sa * sb, sa + sb, sa.scale(k)
+    assert prod.order == total.order == order and scaled.order == sa.order
+    assert list(prod.coeffs) == _mul(a, b, order)
+    assert list(total.coeffs) == [x + y for x, y in zip(a, b)]
+    assert list(scaled.coeffs) == [x * k for x in a]
+    assert list((sb * sa).coeffs) == list(prod.coeffs)
+    nonzero = [i for i, x in enumerate(a) if not field.is_zero(x)]
+    assert sa.valuation() == (nonzero[0] if nonzero else None)
+    assert all(_normalized(s) for s in (prod, total, scaled))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case())
+def test_kernel_results_are_normalized(c):
+    assert _normalized(eval_form_on_series(*c))
+
+
+def test_reduction_rows_over_one_denominator():
+    field = INT_FIELDS[-1]  # t^2 = t/3 - 5/7
+    assert field.red_den == 21 and field.red_num == [(-15, 7)]
+    assert QQ.red_den == INT_FIELDS[1].red_den == 1 and not INT_FIELDS[1].red_num
+    rows, den = field.int_coords([Fraction(1, 2), field.gen, field.element([Fraction(2, 3), 1])])
+    assert den == 6 and rows == [(3, 0), (0, 6), (4, 6)]
+    assert [field.from_int_coords(r, den) for r in rows] == [field.coerce(Fraction(1, 2)), field.gen,
+                                                              field.element([Fraction(2, 3), 1])]
+    theta = TruncSeries(field, 3, [field.gen, 1])
+    assert list((theta * theta).coeffs) == [field.gen * field.gen, 2 * field.gen, field.one, field.zero]
