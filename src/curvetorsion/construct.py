@@ -28,10 +28,14 @@ from .curves import (
     polar_curve,
 )
 from .elliptic import EllipticChart, monomial_row, origin_tangency_row
-from .fields import QQ
+from .fields import QQ, common_field
 from .homopoly import HomogeneousPoly, hessian_det, monomials
 from .linalg import cross3, det3, kernel_basis
 from .picard import DivisorClass, PicardContext, is_principal, torsion_order
+
+
+# Random draws each recipe makes before it gives up on a genericity certificate.
+RETRIES = 32
 
 
 class ConstructionError(GeometryError):
@@ -107,10 +111,7 @@ def verify_type(d: PlaneCurve, c: PlaneCurve, rng_seed: int = 0, trials: int = 8
     n = mults.pop()
     if c.degree % n != 0:
         return VerifyReport(False, [f"local number {n} does not divide deg C = {c.degree}"])
-    ctx = PicardContext(d, rng_seed=rng_seed)
-    cls = DivisorClass(
-        ctx, [(cl, 1) for cl, _ in div.clusters], Fraction(c.degree, n), check_membership=False
-    )
+    cls = DivisorClass.from_divisor(PicardContext(d, rng_seed=rng_seed), div, n)
     res = torsion_order(cls, n)
     if res.order is None:
         return VerifyReport(False, [f"no torsion order dividing {n} found; invariant broken"])
@@ -126,13 +127,13 @@ def _verified_pair(d, c, rng_seed, provenance) -> TypedPair:
     return rep.pair
 
 
-def transversal_seed(d0: int, d1: int, rng_seed: int = 0, retries: int = 32) -> TypedPair:
+def transversal_seed(d0: int, d1: int, rng_seed: int = 0) -> TypedPair:
     """Random smooth curves of the given degrees meeting transversally."""
     if d0 > d1:
         raise PreconditionError("transversal seeds need d0 <= d1")
     rng = random.Random(rng_seed)
     step = ConstructionStep("transversal_seed", {"d0": d0, "d1": d1}, rng_seed)
-    for _ in range(retries):
+    for _ in range(RETRIES):
         try:
             d = PlaneCurve(rand_form(d0, rng), f"D{d0}")
             c = PlaneCurve(rand_form(d1, rng), f"C{d1}")
@@ -152,10 +153,10 @@ def transversal_seed(d0: int, d1: int, rng_seed: int = 0, retries: int = 32) -> 
         if pair.n != 1 or pair.nu != 1:
             raise CertificationError("transversal pair did not verify as type (d0,d1;1,1)")
         return pair
-    raise ConstructionError(f"no transversal pair of degrees ({d0},{d1}) in {retries} draws")
+    raise ConstructionError(f"no transversal pair of degrees ({d0},{d1}) in {RETRIES} draws")
 
 
-def power_of_k(pair: TypedPair, k: int, rng_seed: int = 0, retries: int = 32) -> TypedPair:
+def power_of_k(pair: TypedPair, k: int, rng_seed: int = 0) -> TypedPair:
     """Replace D by a smooth member of |k*D| through the intersection scheme.
 
     From D: f0 = 0 and C: f1 = 0 of type (d0,d1;n,nu), the curve
@@ -177,7 +178,7 @@ def power_of_k(pair: TypedPair, k: int, rng_seed: int = 0, retries: int = 32) ->
     div = intersect(pair.d, pair.c, rng_seed=rng_seed)
     step = ConstructionStep("power_of_k", {"k": k, "from": pair.type_tuple}, rng_seed)
     gdeg = k * d0 - d1
-    for _ in range(retries):
+    for _ in range(RETRIES):
         g = rand_form(gdeg, rng)
         bad = False
         for cl, _ in div.clusters:
@@ -200,7 +201,7 @@ def power_of_k(pair: TypedPair, k: int, rng_seed: int = 0, retries: int = 32) ->
                 f"contradicted by recomputation ({new_pair.n},{new_pair.nu})"
             )
         return new_pair
-    raise ConstructionError(f"no general form of degree {gdeg} found in {retries} draws")
+    raise ConstructionError(f"no general form of degree {gdeg} found in {RETRIES} draws")
 
 
 def _inflection_clusters(cubic: PlaneCurve, rng_seed=0):
@@ -236,8 +237,7 @@ def _lines_not_concurrent(lines):
     """Determinant test on the coefficient rows, over the common field."""
     field = QQ
     for l in lines:
-        if l.field != QQ:
-            field = l.field
+        field = common_field(field, l.field)
     rows = []
     for l in lines:
         ll = l if l.field == field else l.to_field(field)
@@ -427,7 +427,7 @@ def tangent_quadruple_arrangements(rng_seed: int = 0):
 QUARTIC_SEXTIC_CUBIC = {(0, 2, 1): 1, (3, 0, 0): -1, (0, 0, 3): -1}
 
 
-def build_type_4663(rng_seed: int = 0, retries: int = 32) -> TypedPair:
+def build_type_4663(rng_seed: int = 0) -> TypedPair:
     """A certified pair (quartic, sextic) with all local numbers 6 and torsion 3.
 
     Steps: pick non-collinear rational points P1, P2, P3 on the cubic
@@ -483,7 +483,7 @@ def build_type_4663(rng_seed: int = 0, retries: int = 32) -> TypedPair:
             raise CertificationError("3(P1+P2+P3+P4) must be cut by a quartic")
         f4p = res.witness
         c4 = None
-        for _ in range(retries):
+        for _ in range(RETRIES):
             g1 = rand_form(1, rng)
             cand_eq = f4p + f3 * g1
             try:
@@ -501,7 +501,7 @@ def build_type_4663(rng_seed: int = 0, retries: int = 32) -> TypedPair:
             if order_along(E, cl, c4.equation, cap=5) != 3:
                 raise CertificationError("quartic does not meet the cubic triply at a base point")
         b = None
-        for _ in range(retries):
+        for _ in range(RETRIES):
             g = rand_form(2, rng)
             if any(g.eval(p) == 0 for p in all_pts):
                 continue

@@ -10,7 +10,6 @@ group generated by the classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd as int_gcd
 
@@ -89,7 +88,7 @@ class Decomposition:
             n = int_gcd(n, v)
         self.n = n
         self.divisors = tuple(divisors)
-        self.classes = tuple(self._class_from_divisor(div, pc) for div, pc in zip(divisors, part_curves))
+        self.classes = tuple(DivisorClass.from_divisor(self.ctx, div, n) for div in divisors)
         self._torsion = {}
 
     def _check_no_shared_components(self):
@@ -100,16 +99,6 @@ class Decomposition:
             for b in comps[i + 1 :]:
                 if a.field == b.field and a.same_curve(b):
                     raise CoverError("two parts share a component")
-
-    def _class_from_divisor(self, divisor, part_curve):
-        effective = []
-        for cluster, mult in divisor.clusters:
-            if mult % self.n != 0:
-                raise CoverError("gcd bookkeeping failed on local multiplicities")
-            effective.append((cluster, mult // self.n))
-        return DivisorClass(
-            self.ctx, effective, Fraction(part_curve.degree, self.n), check_membership=False
-        )
 
     @property
     def k(self):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from .covers import Decomposition, Part
 from .curves import PlaneCurve
 from .fields import FieldError, NumberField
+from .homopoly import generator_poly_text
 from .parsing import ParseError, parse_min_poly, parse_poly
 
 
@@ -110,21 +111,9 @@ class CurveFile:
 
 
 def _min_poly_text(field: NumberField) -> str:
-    t = field.symbol
-    parts = []
-    for i in range(field.degree, -1, -1):
-        c = field.min_poly[i]
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            parts.append(f"{head}{t}" + (f"^{i}" if i > 1 else ""))
-    s = parts[0]
-    for p in parts[1:]:
-        s += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return s
+    return generator_poly_text(
+        ((i, field.min_poly[i]) for i in range(field.degree, -1, -1)), field.symbol
+    )
 
 
 def loads_curve_file(text: str) -> CurveFile:

@@ -19,7 +19,7 @@ import contextvars
 import random
 from fractions import Fraction
 
-from .fields import QQ, FieldError, NumberField
+from .fields import QQ, FieldError, NumberField, common_field
 from .homopoly import HomogeneousPoly
 from .linalg import det_int
 from .qpoly import factor_rational, squarefree_q
@@ -373,12 +373,9 @@ def _slice(f, i):
     return {(e[i], e[0]): c for e, c in f.terms.items()}
 
 
-def _fiber_gcd(fa, ga, theta, field):
-    u = fa.as_unipoly_in_y(x_value=theta)
-    v = ga.as_unipoly_in_y(x_value=theta)
-    u = UniPoly(field, [field.coerce(c) for c in u.coeffs])
-    v = UniPoly(field, [field.coerce(c) for c in v.coeffs])
-    return poly_gcd(u, v)
+def _fiber_gcd(fa, ga, theta):
+    """gcd in y of the two forms on the chart line x = theta, z = 1."""
+    return poly_gcd(fa.fiber(1, (theta, None, 1)), ga.fiber(1, (theta, None, 1)))
 
 
 def _factor_base(r: UniPoly):
@@ -403,15 +400,11 @@ def intersect(d: PlaneCurve, c: PlaneCurve, rng_seed: int = 0, max_shears: int =
     computation.
     """
     key = (d.equation, c.equation, rng_seed, max_shears)
-    field = d.field
+    field = common_field(d.field, c.field)
+    if d.field != field:
+        d = PlaneCurve(d.equation.to_field(field), d.name, check_reduced=False)
     if c.field != field:
-        if c.field == QQ:
-            c = PlaneCurve(c.equation.to_field(field), c.name, check_reduced=False)
-        elif field == QQ:
-            d = PlaneCurve(d.equation.to_field(c.field), d.name, check_reduced=False)
-            field = c.field
-        else:
-            raise FieldError("curves over incompatible fields")
+        c = PlaneCurve(c.equation.to_field(field), c.name, check_reduced=False)
     cache = _ACTIVE_CACHE.get()
     if cache is None:
         return _intersect_by_shears(d, c, rng_seed, max_shears)
@@ -463,12 +456,12 @@ def _intersect_by_shears(d, c, rng_seed, max_shears):
             else:
                 ok, last_reason = False, "nonrational point over a number field base"
                 break
-            g = _fiber_gcd(fa, ga, theta, work_field)
+            g = _fiber_gcd(fa, ga, theta)
             if g.degree != 1:
                 ok, last_reason = False, "two intersection points share an x-coordinate"
                 break
             y0 = -(g.coeffs[0] / g.coeffs[1])
-            fy_val = fy.as_unipoly_in_y(x_value=theta).eval(y0)
+            fy_val = fy.eval((theta, y0, 1))
             if work_field.is_zero(fy_val):
                 ok, last_reason = False, "vertical tangent chart on D"
                 break
@@ -538,7 +531,8 @@ def local_param(d: PlaneCurve, cluster: ProjPointCluster, order: int) -> LocalPa
     if fa.field != field:
         fa = fa.to_field(field)
     th, y0, _ = cluster.center_sheared()
-    fy = fa.diff(1).as_unipoly_in_y(x_value=th).eval(y0)
+    fy_form = fa.diff(1)
+    fy = fy_form.eval((th, y0, 1))
     if field.is_zero(fy):
         if cluster.size == 1:
             # a point given in a degenerate chart can always be re-charted
@@ -546,10 +540,9 @@ def local_param(d: PlaneCurve, cluster: ProjPointCluster, order: int) -> LocalPa
             if rechart.shear != cluster.shear:
                 return local_param(d, rechart, order)
         raise ChartDegeneracyError("dF/dY vanishes at the center; request a re-shear")
-    check0 = fa.as_unipoly_in_y(x_value=th).eval(y0)
-    if not field.is_zero(check0):
+    if not field.is_zero(fa.eval((th, y0, 1))):
         raise GeometryError("cluster does not lie on the curve")
-    inv_fy, fy_form, ys = 1 / fy, fa.diff(1), [y0]
+    inv_fy, ys = 1 / fy, [y0]
     while len(ys) <= order:
         # Newton step from m to n coefficients: Y - F / F_y mod s^n
         m, n = len(ys), min(2 * len(ys), order + 1)
@@ -677,17 +670,6 @@ def _squarefree_over(p: UniPoly) -> bool:
     return poly_gcd(p, p.derivative()).degree == 0
 
 
-def _slice_y1(f, x0):
-    """f(x0, 1, z) as a univariate polynomial in z."""
-    field = f.field
-    coeffs = {}
-    for (a, _, cc), coeff in f.terms.items():
-        v = coeff * x0**a if a else coeff
-        coeffs[cc] = coeffs.get(cc, field.zero) + v
-    n = max(coeffs) + 1 if coeffs else 0
-    return UniPoly(field, [coeffs.get(i, field.zero) for i in range(n)])
-
-
 def _singular_witness(fa, shear, disc):
     """Look for a common zero of the gradient over a repeated factor of the
     z-discriminant `disc` in the current chart."""
@@ -703,7 +685,7 @@ def _singular_witness(fa, shear, disc):
         else:
             work_field = NumberField(p.coeffs, symbol="r", trusted=True)
             theta = work_field.gen
-        g = poly_gcd(_slice_y1(fa.to_field(work_field), theta), _slice_y1(fz.to_field(work_field), theta))
+        g = poly_gcd(fa.fiber(2, (theta, 1, None)), fz.fiber(2, (theta, 1, None)))
         if g.degree > 1:
             # at an ordinary triple point the fiber gcd is (z - z0)^2
             g = squarefree_part(g)

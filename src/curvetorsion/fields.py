@@ -19,7 +19,6 @@ denominator R (Cohen 1993, 4.2).  Q is the degree-1 case with no rows, R = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 # The exact rational scalar type used throughout the package.
@@ -175,38 +174,12 @@ class NumberField:
         return AlgNum(self, tuple(coords))
 
     def from_poly_coeffs(self, coeffs):
-        """Element represented by a polynomial in t of arbitrary degree."""
+        """The element c_0 + c_1 t + ... + c_k t^k of a t-polynomial of any
+        degree k: its remainder modulo the minimal polynomial."""
         coeffs = [Fraction(c) for c in coeffs]
-        d = self.degree
-        out = [Fraction(0)] * d
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            if k < d:
-                out[k] += c
-            else:
-                row = self._pow_row(k)
-                for i in range(d):
-                    out[i] += c * row[i]
-        return AlgNum(self, tuple(out))
-
-    @lru_cache(maxsize=None)
-    def _pow_row(self, k):
-        """Coordinates of t^k in the power basis."""
-        d = self.degree
-        if k < d:
-            row = [Fraction(0)] * d
-            row[k] = Fraction(1)
-            return tuple(row)
-        if k - d < len(self._red_rows):
-            return self._red_rows[k - d]
-        prev = self._pow_row(k - 1)
-        shifted = [Fraction(0)] + list(prev[: d - 1])
-        top = prev[d - 1]
-        if top:
-            base = self._red_rows[0]
-            shifted = [shifted[i] + top * base[i] for i in range(d)]
-        return tuple(shifted)
+        if len(coeffs) > self.degree:
+            coeffs = _poly_divmod_q(coeffs, self.min_poly)[1]
+        return self.element(coeffs)
 
     def is_zero(self, x):
         return self.coerce(x).is_zero()
@@ -358,15 +331,8 @@ class AlgNum:
 
     def __pow__(self, n):
         if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return power(self.inverse(), -n, self.field.one)
+        return power(self, n, self.field.one)
 
     def __eq__(self, other):
         if isinstance(other, RatLike):
@@ -429,6 +395,22 @@ def _poly_sub_q(a, b):
     a = list(a) + [Fraction(0)] * (n - len(a))
     b = list(b) + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
+
+
+def power(x, n, one):
+    """x**n for an integer n >= 0 by square-and-multiply, where ``one`` is
+    the unit of x's ring.  The one such loop behind ``**`` on field
+    elements, univariate polynomials, forms and the parser's polynomials."""
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 def common_field(f1, f2):

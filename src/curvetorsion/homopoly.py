@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ, AlgNum, common_field
+from .fields import QQ, AlgNum, common_field, power
 from .linalg import det3
 from .unipoly import UniPoly
 
@@ -148,14 +148,7 @@ class HomogeneousPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = HomogeneousPoly(self.field, 0, {(0, 0, 0): self.field.one})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, HomogeneousPoly(self.field, 0, {(0, 0, 0): self.field.one}))
 
     def diff(self, i):
         terms = {}
@@ -192,30 +185,29 @@ class HomogeneousPoly:
         x, y, z = (HomogeneousPoly.linear_form(row, self.field) for row in matrix)
         return self.substitute(x, y, z, HomogeneousPoly(self.field, 0, {(0, 0, 0): self.field.one}))
 
-    def as_unipoly_in_y(self, x_value=None):
-        """Coefficients of powers of y after setting z = 1.
+    def fiber(self, i, point):
+        """The form with variable i free and the other two set to their
+        entries of ``point`` (entry i is not read), as a UniPoly in variable
+        i over the field of those values: the form's field, or the number
+        field of an AlgNum entry.
 
-        With ``x_value`` given, returns a UniPoly in y over the field.
-        Without it, returns a list of UniPoly in x (index = power of y).
-        """
-        if x_value is not None:
-            field = x_value.field if isinstance(x_value, AlgNum) else self.field
-            coeffs = {}
-            for (a, b, _), c in self.terms.items():
-                v = c * x_value**a if a else field.coerce(c)
-                coeffs[b] = coeffs.get(b, field.zero) + v
-            n = max(coeffs) + 1 if coeffs else 0
-            return UniPoly(field, [coeffs.get(i, field.zero) for i in range(n)])
-        by_y = {}
-        for (a, b, _), c in self.terms.items():
-            by_y.setdefault(b, {})[a] = by_y.get(b, {}).get(a, self.field.zero) + c
-        n = max(by_y) + 1 if by_y else 0
-        out = []
-        for b in range(n):
-            row = by_y.get(b, {})
-            deg = max(row) + 1 if row else 0
-            out.append(UniPoly(self.field, [row.get(i, self.field.zero) for i in range(deg)]))
-        return out
+        Each fixed value gets one power table, kept in the value's own type,
+        so a rational value such as a chart's 1 costs rational products."""
+        j, k = (v for v in range(3) if v != i)
+        field = self.field
+        tables = []
+        for v in (point[j], point[k]):
+            if isinstance(v, AlgNum):
+                field = common_field(field, v.field)
+            powers = [1]
+            for _ in range(self.degree):
+                powers.append(powers[-1] * v)
+            tables.append(powers)
+        pj, pk = tables
+        coeffs = [0] * (self.degree + 1)
+        for e, c in self.terms.items():
+            coeffs[e[i]] += c * pk[e[k]] * pj[e[j]]
+        return UniPoly(field, coeffs)
 
     def reduce_mod(self, g):
         """Remainder of division by the single form g in graded-lex order.
@@ -264,22 +256,9 @@ class HomogeneousPoly:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"{VARS[i]}^{e[i]}" if e[i] > 1 else VARS[i] for i in range(3) if e[i] > 0
-            )
-            cs = _coeff_text(c)
-            if not mono:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        s = parts[0]
-        for p in parts[1:]:
-            s += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return s
+            mono = "*".join(_power_text(VARS[i], e[i]) for i in range(3) if e[i] > 0)
+            parts.append(_term_text(_coeff_text(c), mono))
+        return _signed_join(parts)
 
     def __repr__(self):
         return f"HomogeneousPoly({self.text()})"
@@ -321,27 +300,38 @@ def horner(degree, terms, x, y, z, one):
     return acc
 
 
+def _power_text(name, k):
+    return "" if k == 0 else (name if k == 1 else f"{name}^{k}")
+
+
+def _term_text(coeff, mono):
+    """One printed term: the coefficient text alone for an empty monomial,
+    else the head "" (coefficient 1), "-" (coefficient -1) or "c*" before it."""
+    if not mono:
+        return coeff
+    return {"1": "", "-1": "-"}.get(coeff, f"{coeff}*") + mono
+
+
+def _signed_join(parts):
+    """Printed terms joined by " + ", or by " - " in place of a leading "-"."""
+    s = parts[0]
+    for p in parts[1:]:
+        s += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return s
+
+
+def generator_poly_text(coeffs, symbol):
+    """sum c * symbol^i over the (i, c) pairs in their given order, zero
+    coefficients left out; "0" when every coefficient is zero."""
+    parts = [_term_text(str(c), _power_text(symbol, i)) for i, c in coeffs if c != 0]
+    return _signed_join(parts) if parts else "0"
+
+
 def _coeff_text(c):
-    if isinstance(c, AlgNum):
-        t = c.field.symbol
-        parts = []
-        for i, v in enumerate(c.coords):
-            if v == 0:
-                continue
-            if i == 0:
-                parts.append(str(v))
-            else:
-                head = "" if v == 1 else ("-" if v == -1 else f"{v}*")
-                parts.append(f"{head}{t}" + (f"^{i}" if i > 1 else ""))
-        if not parts:
-            return "0"
-        if len(parts) == 1:
-            return parts[0]
-        body = parts[0]
-        for p in parts[1:]:
-            body += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return f"({body})"
-    return str(c)
+    if not isinstance(c, AlgNum):
+        return str(c)
+    body = generator_poly_text(enumerate(c.coords), c.field.symbol)
+    return f"({body})" if sum(1 for v in c.coords if v != 0) > 1 else body
 
 
 def hessian_det(f: HomogeneousPoly) -> HomogeneousPoly:

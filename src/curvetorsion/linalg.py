@@ -71,10 +71,21 @@ def rank(matrix, field):
     return len(pivots)
 
 
+def row_residual(vector, echelon, field):
+    """The vector reduced against a reduced row echelon form (rows, pivots)
+    from `row_echelon`: all zero exactly when it lies in the row span."""
+    rows, pivots = echelon
+    v = [field.coerce(c) for c in vector]
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if not field.is_zero(f):
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
 def in_row_span(vector, matrix, field):
     """Whether the vector lies in the row span of the matrix."""
-    base = rank(matrix, field)
-    return rank(list(matrix) + [list(vector)], field) == base
+    return all(field.is_zero(c) for c in row_residual(vector, row_echelon(matrix, field), field))
 
 
 def _int_rows(matrix):

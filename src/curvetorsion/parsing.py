@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import QQ, NumberField
+from .fields import QQ, NumberField, power
 from .homopoly import HomogeneousPoly
 from .unipoly import UniPoly
 
@@ -141,14 +141,7 @@ class _Sparse4:
         return _Sparse4(out)
 
     def __pow__(self, n):
-        result = _Sparse4.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, _Sparse4.const(1))
 
 
 class _Parser:

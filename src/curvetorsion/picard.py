@@ -25,7 +25,7 @@ from .curves import (
     same_points,
 )
 from .homopoly import HomogeneousPoly, monomials
-from .linalg import in_row_span, kernel_basis
+from .linalg import kernel_basis, row_echelon, row_residual
 from .series import TruncSeries
 
 
@@ -76,6 +76,24 @@ class DivisorClass:
                 f"degree mismatch: effective degree {self.effective_degree()} "
                 f"!= {self.o_multiple} * {context.d0}"
             )
+
+    @classmethod
+    def from_divisor(cls, context: PicardContext, divisor, n: int) -> "DivisorClass":
+        """The part class divisor / n - (deg C / n) * o of an intersection
+        divisor C|_D on the context's curve D.
+
+        Each cluster gets its multiplicity // n; raises PicardError when n
+        does not divide a multiplicity.  deg C / n may be fractional; such a
+        class is testable only at multiples that clear the denominator.
+        """
+        effective = []
+        for cluster, mult in divisor.clusters:
+            if mult % n != 0:
+                raise PicardError(
+                    f"n={n} does not divide local intersection data (found multiplicity {mult})"
+                )
+            effective.append((cluster, mult // n))
+        return cls(context, effective, Fraction(divisor.other.degree, n), check_membership=False)
 
     def effective_degree(self):
         return sum(cl.size * m for cl, m in self.effective)
@@ -198,11 +216,10 @@ def is_principal(cls: DivisorClass) -> PrincipalityResult:
         raise CertificationError("solution space smaller than the forced subspace")
     if len(kernel) == tdim:
         return PrincipalityResult(False, None, len(kernel), tdim)
-    witness_vec = None
-    for vec in kernel:
-        if not trivial or not in_row_span(vec, trivial, field):
-            witness_vec = vec
-            break
+    echelon = row_echelon(trivial, field)
+    witness_vec = next(
+        (v for v in kernel if not all(field.is_zero(c) for c in row_residual(v, echelon, field))), None
+    )
     if witness_vec is None:
         raise CertificationError("kernel exceeds forced subspace but no witness found")
     h = HomogeneousPoly(field, m, {e: c for e, c in zip(monos, witness_vec)})
@@ -225,20 +242,15 @@ def _verify_witness(ctx: PicardContext, cls: DivisorClass, h: HomogeneousPoly):
             )
 
 
-def torsion_order(cls: DivisorClass, n: int, divisors_only: bool = True) -> TorsionResult:
-    """Least positive k with k * class principal.
+def torsion_order(cls: DivisorClass, n: int) -> TorsionResult:
+    """Least positive k with k * class principal, for a class killed by n.
 
-    With divisors_only, only divisors of n are tried (correct whenever the
-    class is known to be killed by n, as all decomposition classes are).
-    Otherwise every candidate 1..n is tried, a terminating search for
-    ad-hoc classes with annihilator at most n.
+    Only divisors of n are tried, which is correct whenever the class is
+    known to be killed by n, as all decomposition classes are.
     """
     if n < 1:
         raise PicardError("period bound must be positive")
-    if divisors_only:
-        candidates = [k for k in range(1, n + 1) if n % k == 0]
-    else:
-        candidates = list(range(1, n + 1))
+    candidates = [k for k in range(1, n + 1) if n % k == 0]
     tested = []
     for nu in candidates:
         scaled = cls.scale(nu)
@@ -255,21 +267,9 @@ def torsion_order(cls: DivisorClass, n: int, divisors_only: bool = True) -> Tors
 def class_of_decomposition(ctx: PicardContext, part: PlaneCurve, n: int, rng_seed: int = 0):
     """The torsion class of one decomposition part: d_j - (deg/n) * o.
 
-    Requires n to divide every local intersection multiplicity; the
-    effective divisor is the intersection divisor divided by n.  The line
-    section multiple deg/n may be fractional; such classes are testable
-    only at multiples that clear the denominator.
+    Requires n to divide every local intersection multiplicity; see
+    `DivisorClass.from_divisor`.
     """
     from .curves import intersect
 
-    divisor = intersect(ctx.d, part, rng_seed=rng_seed)
-    effective = []
-    for cluster, mult in divisor.clusters:
-        if mult % n != 0:
-            raise PicardError(
-                f"n={n} does not divide local intersection data (found multiplicity {mult})"
-            )
-        effective.append((cluster, mult // n))
-    cls = DivisorClass(ctx, effective, Fraction(part.degree, n), check_membership=False)
-    cls.source_divisor = divisor
-    return cls
+    return DivisorClass.from_divisor(ctx, intersect(ctx.d, part, rng_seed=rng_seed), n)

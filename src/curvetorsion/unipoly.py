@@ -13,7 +13,7 @@ from sympy.polys.densebasic import dmp_from_dict
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_resultant
 
-from .fields import QQ, AlgNum, FieldError
+from .fields import QQ, AlgNum, FieldError, common_field, power
 
 
 class UniPoly:
@@ -95,14 +95,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = UniPoly.const(1, self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, UniPoly.const(1, self.field))
 
     def _coerce(self, other):
         if isinstance(other, UniPoly):
@@ -238,7 +231,7 @@ def resultant(p: UniPoly, q: UniPoly):
         if other.degree <= 0:
             raise ValueError("resultant of a constant with the zero polynomial is undefined")
         return other.field.zero
-    field = p.field if p.field != QQ else q.field
+    field = common_field(p.field, q.field)
     r = _zz_resultant(
         {(i, 0): field.coerce(c) for i, c in enumerate(p.coeffs)},
         {(i, 0): field.coerce(c) for i, c in enumerate(q.coeffs)},

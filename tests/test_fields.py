@@ -1,6 +1,9 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvetorsion.fields import QQ, AlgNum, FieldError, NumberField, Rat, common_field
 
@@ -77,3 +80,39 @@ def test_hashable_values():
     K = NumberField([1, 1, 1])
     assert len({K.gen, K.gen, K.one}) == 2
     assert hash(K.one) == hash(Fraction(1))
+
+
+REDUCTION_FIELDS = [
+    NumberField([-2, 0, 1]),  # Q(sqrt 2)
+    NumberField([-2, 0, 0, 0, 1]),  # Q(2^(1/4))
+    NumberField([Fraction(5, 7), Fraction(-1, 3), 1]),  # t^2 - t/3 + 5/7: reduction rows over R > 1
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(REDUCTION_FIELDS).flatmap(
+        lambda K: st.tuples(
+            st.just(K),
+            st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=3 * K.degree + 1),
+        )
+    )
+)
+def test_from_poly_coeffs_equals_the_power_sum(case):
+    K, coeffs = case
+    want, gen_power = K.zero, K.one
+    for c in coeffs:  # sum c_k * gen^k, gen^k by repeated multiplication
+        want = want + gen_power * c
+        gen_power = gen_power * K.gen
+    assert K.from_poly_coeffs(coeffs) == want
+
+
+def test_a_number_field_is_freed_after_reducing():
+    K = NumberField([-3, 1, 0, 0, 1], symbol="r", trusted=True)
+    got = K.from_poly_coeffs(range(1, 20))
+    want = sum(k * K.gen ** (k - 1) for k in range(1, 20))
+    assert got == want
+    ref = weakref.ref(K)
+    del K, got, want
+    gc.collect()
+    assert ref() is None

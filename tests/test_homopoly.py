@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from curvetorsion.fields import QQ, NumberField
 from curvetorsion.homopoly import HomogeneousPoly, euler_check, hessian_det, monomials
 from curvetorsion.linalg import cross3, det3
+from curvetorsion.unipoly import UniPoly
 
 
 def form(terms):
@@ -107,3 +108,47 @@ def test_linear_change_composes_and_inverts(terms, m, n):
     mn = [[sum(m[i][k] * n[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     assert f.linear_change(m).linear_change(n) == f.linear_change(mn)
     assert f.linear_change(m).linear_change(_inverse(m)) == f
+
+
+Q2 = NumberField([-2, 0, 1])
+CLUSTER4 = NumberField([-3, 1, 0, 0, 1], symbol="r")  # a degree-4 cluster field
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _value(draw, field):
+    if field == QQ:
+        return draw(small)
+    return field.element(draw(st.lists(small, min_size=field.degree, max_size=field.degree)))
+
+
+@st.composite
+def fiber_case(draw):
+    form_field, point_field = draw(st.sampled_from([(QQ, QQ), (Q2, Q2), (QQ, Q2), (Q2, QQ), (QQ, CLUSTER4)]))
+    degree = draw(st.integers(min_value=1, max_value=5))
+    monos = draw(st.lists(st.sampled_from(monomials(degree)), min_size=1, max_size=8, unique=True))
+    f = HomogeneousPoly(form_field, degree, {m: _value(draw, form_field) for m in monos})
+    i = draw(st.sampled_from([1, 2]))
+    point = [_value(draw, point_field) if draw(st.booleans()) else point_field.one for _ in range(3)]
+    point[i] = None
+    return f, i, tuple(point), point_field if point_field != QQ else form_field
+
+
+def fiber_oracle(f, i, point, field):
+    """The plain term-by-term sum: c * (product of the fixed values) * X^(e[i])."""
+    out = UniPoly.zero(field)
+    for e, c in f.terms.items():
+        coeff = c
+        for j in range(3):
+            for _ in range(e[j] if j != i else 0):
+                coeff = coeff * point[j]
+        out = out + UniPoly(field, [0] * e[i] + [coeff])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(fiber_case())
+def test_fiber_equals_the_term_by_term_sum(case):
+    f, i, point, field = case
+    got = f.fiber(i, point)
+    assert got.field == field
+    assert got == fiber_oracle(f, i, point, field)

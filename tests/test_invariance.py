@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from curvetorsion import PlaneCurve, certify, relation_lattice
-from curvetorsion.covers import Decomposition, Part
+from curvetorsion.covers import Decomposition, Part, permuted_lattice_hnf
 from curvetorsion.curvefile import load_curve_file
 from curvetorsion.linalg import det_int
 
@@ -61,3 +61,14 @@ def test_answers_do_not_depend_on_the_seed(name):
         decs = [cf.decomposition(spec.name, rng_seed=seed) for spec in cf.decompositions]
         runs.append(answers(decs, seed))
     assert runs[0] == runs[1]
+
+
+def test_swapping_the_parts_permutes_the_answers():
+    cf = load_curve_file(SAMPLES / "tangent_quadruples.json")
+    for spec in cf.decompositions:
+        dec = cf.decomposition(spec.name)
+        swapped = Decomposition(dec.d, [dec.parts[1], dec.parts[0]], name=dec.name)
+        assert swapped.order_tuple() == dec.order_tuple()[::-1]
+        lat, lat_swapped = relation_lattice(dec), relation_lattice(swapped)
+        assert lat_swapped.hnf == permuted_lattice_hnf(lat, (1, 0))
+        assert lat_swapped.invariant_factors == lat.invariant_factors

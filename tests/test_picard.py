@@ -127,3 +127,12 @@ def test_quartic_cutting_triple_points(pair_4663):
     cls = class_of_decomposition(ctx3, pair_4663.d, 3)
     assert cls.o_multiple == Fraction(4, 3)
     assert sorted(cl.size for cl, m in cls.effective for _ in range(m)) == [1, 1, 1, 1]
+
+
+def test_from_divisor_needs_n_to_divide_every_multiplicity(ctx):
+    flex_tangent = PlaneCurve(form({(1, 0, 0): 1, (0, 1, 0): 1}), "T")  # meets E triply at (1, -1, 0)
+    divisor = intersect(ctx.d, flex_tangent)
+    cls = DivisorClass.from_divisor(ctx, divisor, 3)
+    assert [m for _, m in cls.effective] == [1] and cls.o_multiple == Fraction(1, 3)
+    with pytest.raises(PicardError):
+        DivisorClass.from_divisor(ctx, divisor, 2)
