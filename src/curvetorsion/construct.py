@@ -292,7 +292,7 @@ def artal_arrangement(cubic: PlaneCurve, collinear: bool, rng_seed: int = 0) -> 
             continue
         for cl in triple:
             line = _tangent_line_at(cubic, cl)
-            if order_along(cubic, cl, line, cap=4) != 3:
+            if order_along(cubic, cl, line, cap=3) != 3:
                 raise CertificationError("inflection tangent does not meet triply")
         dec = Decomposition(
             cubic,
@@ -354,7 +354,7 @@ def tangent_lines_through(cubic: PlaneCurve, p) -> list:
     out = []
     for cl, _ in residual:
         line = HomogeneousPoly.linear_form(cross3(p, cl.center()), cl.field)
-        if order_along(cubic, cl, line, cap=4) != 2:
+        if order_along(cubic, cl, line, cap=2) != 2:
             raise CertificationError("constructed line is not a simple tangent")
         out.append(TangentLine(cl, line))
     out.sort(key=lambda t: (t.tangency_cluster.size, t.line.normalized().text()))
@@ -407,7 +407,7 @@ def tangent_quadruple_arrangements(rng_seed: int = 0):
         (l2c, base2[2]),
     ]:
         cl = cluster_from_point(q, curve=E)
-        if order_along(E, cl, line.equation, cap=4) != 2:
+        if order_along(E, cl, line.equation, cap=2) != 2:
             raise CertificationError("model tangent line failed its tangency check")
     dec_equal = Decomposition(
         E,
@@ -498,7 +498,7 @@ def build_type_4663(rng_seed: int = 0) -> TypedPair:
             continue
         for p in all_pts:
             cl = cluster_from_point(p, curve=E)
-            if order_along(E, cl, c4.equation, cap=5) != 3:
+            if order_along(E, cl, c4.equation, cap=3) != 3:
                 raise CertificationError("quartic does not meet the cubic triply at a base point")
         b = None
         for _ in range(RETRIES):

@@ -474,7 +474,7 @@ def _intersect_by_shears(d, c, rng_seed, max_shears):
             continue
         divisor = IntersectionDivisor(d, c, clusters, shear)
         for cl, m in divisor.clusters:
-            v = order_along(d, cl, c.equation, cap=m + 2)
+            v = order_along(d, cl, c.equation, cap=m)
             if v != m:
                 raise CertificationError(
                     f"multiplicity cross-check failed: resultant says {m}, valuation says {v}"
@@ -495,13 +495,14 @@ class LocalParam:
         self.order = order
         self.y_coeffs = tuple(y_coeffs)
 
+    def y_series(self):
+        return TruncSeries(self.cluster.field, self.order, self.y_coeffs)
+
     def chart_series(self):
         field = self.cluster.field
-        th = self.cluster.theta()
-        sx = TruncSeries(field, self.order, [th, field.one])
-        sy = TruncSeries(field, self.order, list(self.y_coeffs))
+        sx = TruncSeries(field, self.order, [self.cluster.theta(), field.one])
         sz = TruncSeries.constant(field, self.order, field.one)
-        return sx, sy, sz
+        return sx, self.y_series(), sz
 
     def original_series(self):
         """Series for the original x, y, z coordinates along the branch."""
@@ -513,12 +514,14 @@ def local_param(d: PlaneCurve, cluster: ProjPointCluster, order: int) -> LocalPa
     """Newton lifting of the branch of D through the cluster, exact to s^order.
 
     Each step doubles the number of known coefficients of Y(s): from m to
-    2m it evaluates the sheared equation F and F_y along the chart series by
-    Horner's scheme (`eval_form_on_series`) and divides.  Coefficient k
-    depends only on the ones before it, so a cached branch of at least this
-    order is truncated.  The full branch is re-substituted at the end.
+    2m it evaluates the sheared equation F and F_y along the branch
+    (`eval_form_on_series`) and divides.  Coefficient k depends only on the
+    ones before it, so a cached branch of at least this order is truncated,
+    and a shorter cached branch is the prefix the lift resumes from.  The
+    last evaluation is the re-substitution of the whole branch to s^order.
     """
     cache = _ACTIVE_CACHE.get()
+    stored = ()
     if cache is not None:
         key = (d.equation, cluster.x_minpoly, cluster.y_rep, cluster.shear, cluster.base_field)
         stored = cache.branches.get(key, ())
@@ -540,22 +543,22 @@ def local_param(d: PlaneCurve, cluster: ProjPointCluster, order: int) -> LocalPa
             if rechart.shear != cluster.shear:
                 return local_param(d, rechart, order)
         raise ChartDegeneracyError("dF/dY vanishes at the center; request a re-shear")
-    if not field.is_zero(fa.eval((th, y0, 1))):
-        raise GeometryError("cluster does not lie on the curve")
-    inv_fy, ys = 1 / fy, [y0]
-    while len(ys) <= order:
+    inv_fy, ys = 1 / fy, list(stored) or [y0]
+    while True:
         # Newton step from m to n coefficients: Y - F / F_y mod s^n
         m, n = len(ys), min(2 * len(ys), order + 1)
-        q = eval_form_on_series(fa, *LocalParam(cluster, n - 1, ys).chart_series()).coeffs
-        dv = eval_form_on_series(fy_form, *LocalParam(cluster, n - m - 1, ys).chart_series()).coeffs
+        q = eval_form_on_series(fa, th, TruncSeries(field, n - 1, ys))
+        if m == 1 and not field.is_zero(q.coeff(0)):  # q(0) = F(theta, y0)
+            raise GeometryError("cluster does not lie on the curve")
+        if m == n:  # q is F along the whole branch to s^order: the re-substitution
+            break
+        dv = eval_form_on_series(fy_form, th, TruncSeries(field, n - m - 1, ys)).coeffs
         for k in range(m, n):  # F vanishes below s^m; divide by F_y, of constant term fy
-            fk = sum((dv[t] * ys[k - t] for t in range(1, k - m + 1)), q[k])
+            fk = sum((dv[t] * ys[k - t] for t in range(1, k - m + 1)), q.coeff(k))
             ys.append(-(fk * inv_fy))
-    param = LocalParam(cluster, order, ys)
-    sx, sy, sz = param.chart_series()
-    resid = eval_form_on_series(fa, sx, sy, sz)
-    if resid.valuation() is not None:
+    if q.valuation() is not None:
         raise CertificationError("re-substitution of the local series does not vanish")
+    param = LocalParam(cluster, order, ys)
     if cache is not None:
         cache.branches[key] = param.y_coeffs
     return param
@@ -564,10 +567,11 @@ def local_param(d: PlaneCurve, cluster: ProjPointCluster, order: int) -> LocalPa
 def order_along(d: PlaneCurve, cluster: ProjPointCluster, h: HomogeneousPoly, cap: int):
     """Valuation of h along D's branch at the cluster.
 
-    h is sheared into the branch's chart and evaluated on the chart series
-    (theta + s, Y(s), 1).  Returns the exact valuation when it is at most
-    cap, or None for "greater than cap".  Raises VanishesOnCurveError when h
-    is divisible by D's equation, since then the restriction is identically
+    h is sheared into the branch's chart and evaluated along (theta + s,
+    Y(s), 1) to s^cap.  Returns the exact valuation when it is at most cap,
+    or None for "greater than cap", so cap = k is the order that decides
+    whether the valuation equals k.  Raises VanishesOnCurveError when h is
+    divisible by D's equation, since then the restriction is identically
     zero.
     """
     if h.is_zero():
@@ -577,7 +581,7 @@ def order_along(d: PlaneCurve, cluster: ProjPointCluster, h: HomogeneousPoly, ca
     param = local_param(d, cluster, cap)
     # the branch's own chart: local_param re-charts a degenerate cluster
     hh = _shear_polys(h, param.cluster.shear)
-    return eval_form_on_series(hh, *param.chart_series()).valuation()
+    return eval_form_on_series(hh, param.cluster.theta(), param.y_series()).valuation()
 
 
 def eval_at_cluster(h: HomogeneousPoly, cluster: ProjPointCluster):

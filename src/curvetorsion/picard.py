@@ -53,7 +53,6 @@ class DivisorClass:
     """effective - o_multiple * (line section), a divisor class on D."""
 
     def __init__(self, context: PicardContext, effective, o_multiple, check_membership=True):
-        self.context = context
         merged = []
         for cluster, coeff in effective:
             coeff = int(coeff)
@@ -69,7 +68,20 @@ class DivisorClass:
                 if check_membership and not cluster.lies_on(context.d):
                     raise PicardError("cluster does not lie on the curve")
                 merged.append([cluster, coeff])
-        self.effective = tuple((cl, m) for cl, m in merged)
+        self._init(context, merged, o_multiple)
+
+    @classmethod
+    def _trusted(cls, context, effective, o_multiple):
+        """A class whose clusters are already distinct orbits on the curve,
+        so nothing is merged: zero coefficients are dropped and the degree
+        is checked."""
+        c = cls.__new__(cls)
+        c._init(context, [(cl, m) for cl, m in effective if m], o_multiple)
+        return c
+
+    def _init(self, context, effective, o_multiple):
+        self.context = context
+        self.effective = tuple((cl, m) for cl, m in effective)
         self.o_multiple = Fraction(o_multiple)
         if self.effective_degree() != self.o_multiple * context.d0:
             raise PicardError(
@@ -93,7 +105,7 @@ class DivisorClass:
                     f"n={n} does not divide local intersection data (found multiplicity {mult})"
                 )
             effective.append((cluster, mult // n))
-        return cls(context, effective, Fraction(divisor.other.degree, n), check_membership=False)
+        return cls._trusted(context, effective, Fraction(divisor.other.degree, n))
 
     def effective_degree(self):
         return sum(cl.size * m for cl, m in self.effective)
@@ -101,11 +113,8 @@ class DivisorClass:
     def scale(self, k: int) -> "DivisorClass":
         if k < 0:
             raise PicardError("only nonnegative scaling is supported")
-        return DivisorClass(
-            self.context,
-            [(cl, m * k) for cl, m in self.effective],
-            self.o_multiple * k,
-            check_membership=False,
+        return DivisorClass._trusted(
+            self.context, [(cl, m * k) for cl, m in self.effective], self.o_multiple * k
         )
 
     def add(self, other: "DivisorClass") -> "DivisorClass":
@@ -235,7 +244,7 @@ def _verify_witness(ctx: PicardContext, cls: DivisorClass, h: HomogeneousPoly):
     if h.divisible_by(ctx.d.equation):
         raise CertificationError("witness is a multiple of the curve equation")
     for cluster, coeff in cls.effective:
-        v = order_along(ctx.d, cluster, h, cap=coeff + 2)
+        v = order_along(ctx.d, cluster, h, cap=coeff)
         if v != coeff:
             raise CertificationError(
                 f"witness valuation {v} differs from required multiplicity {coeff}"

@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from .homopoly import horner
-
 
 class TruncSeries:
     """Coefficients c[0..order] of a series known modulo s^(order+1).
@@ -79,13 +77,10 @@ class TruncSeries:
         within a coefficient), so a factor with few nonzero terms (theta + s,
         or 1) costs O(order).  Each output coefficient is accumulated as an
         unreduced polynomial in t of length 2d - 1 and reduced modulo the
-        minimal polynomial once.  A tuple of d ints is a scalar with
-        denominator 1 (see `eval_form_on_series`); any other non-series is a
-        field element.
+        minimal polynomial once.  A factor that is not a series is a field
+        element.
         """
         if not isinstance(other, TruncSeries):
-            if type(other) is tuple:
-                return self._mul_rows([other], 1, self.order)
             vecs, den = self.field.int_coords([other])
             return self._mul_rows(vecs, den, self.order)
         return self._mul_rows(other.rows, other.den, min(self.order, other.order))
@@ -144,21 +139,73 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}, {list(self.coeffs)})"
 
 
-def eval_form_on_series(form, sx, sy, sz):
-    """Evaluate a homogeneous form at three series over one field.
+def eval_form_on_series(form, theta, sy):
+    """The form at (theta + s, Y(s), 1), a branch in its chart, to sy.order.
 
-    The form's scalars are converted once per call to integer coordinate
-    vectors over one denominator D; Horner's scheme (`homopoly.horner`,
-    after Brent-Kung 1978) then runs on integer series, taking d dense
-    products by sy for a form of degree d, while the products by sx and sz
-    cost O(order) each when those are chart series (theta + s and 1).  The
-    result is divided by D at the end.
+    The form's scalars are converted once to integer coordinate vectors.
+    With f = sum_j y^j a_j(x, z), each row b_j(s) = a_j(theta + s, 1) is a
+    Taylor shift (von zur Gathen-Gerhard 1997), built by Horner's scheme in
+    x on plain integer lists (`_shifted_row`).  Horner's scheme in y
+    (Brent-Kung 1978) then runs acc = acc * Y + b_j: d dense products for a
+    form of degree d.  theta is an element of sy's field.  A form on general
+    series is evaluated by `HomogeneousPoly.substitute`.
     """
-    field = sx.field
-    order = min(sx.order, sy.order, sz.order)
+    field, order = sy.field, sy.order
     vecs, den = field.int_coords(list(form.terms.values()))
-    one = TruncSeries.constant(field, order, field.one)
-    acc = horner(form.degree, dict(zip(form.terms, vecs)), sx, sy, sz, one)
-    if acc is None:
+    by_y = {}
+    for (a, b, _), vec in zip(form.terms, vecs):
+        by_y.setdefault(b, {})[a] = vec
+    if not by_y:
         return TruncSeries(field, order, [])
-    return TruncSeries._from_ints(field, order, acc.rows, acc.den * den)
+    theta_rows, q = _times_theta(field, theta)
+    acc = None
+    for j in range(max(by_y), -1, -1):
+        if acc is not None:
+            acc = acc * sy
+        if j in by_y:
+            rows, scale = _shifted_row(by_y[j], theta_rows, q, order)
+            bj = TruncSeries._from_ints(field, order, rows, den * scale)
+            acc = bj if acc is None else acc + bj
+    return acc
+
+
+def _times_theta(field, theta):
+    """Multiplication by theta on coordinate vectors as (sparse integer
+    rows, q): theta * t^u = (sum of m * t^v over (v, m) in rows[u]) / q.
+
+    The rows are one kernel product: a series whose coefficient u is t^u,
+    times theta."""
+    d = field.degree
+    powers = [tuple(int(u == v) for v in range(d)) for u in range(d)]
+    prod = TruncSeries._from_ints(field, d - 1, powers, 1) * theta
+    return [[(v, m) for v, m in enumerate(row) if m] for row in prod.rows], prod.den
+
+
+def _shifted_row(row, theta_rows, q, order):
+    """sum_a c_a (theta + s)^a to s^order for {a: c_a} (integer vectors), as
+    (order + 1 integer rows, scale): the series is rows / scale.
+
+    Horner in x, P <- (theta + s) P + c_i, on P kept over the scale q^k
+    after k steps: P <- theta_rows(P) + q * s * P + q^(k+1) * c_i,
+    truncated at s^order.
+    """
+    d = len(theta_rows)
+    top = max(row)
+    p, scale = [list(row[top])], 1
+    for i in range(top - 1, -1, -1):
+        scale *= q
+        nxt = []
+        for k in range(min(len(p) + 1, order + 1)):
+            out = [0] * d if k == 0 else [q * x for x in p[k - 1]]
+            if k < len(p):
+                for u, a in enumerate(p[k]):
+                    if a:
+                        for v, m in theta_rows[u]:
+                            out[v] += a * m
+            nxt.append(out)
+        c = row.get(i)
+        if c is not None:
+            nxt[0] = [x + scale * y for x, y in zip(nxt[0], c)]
+        p = nxt
+    zero = (0,) * d
+    return [tuple(x) for x in p] + [zero] * (order + 1 - len(p)), scale

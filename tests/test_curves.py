@@ -1,9 +1,12 @@
 import contextvars
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from curvetorsion.curvefile import load_curve_file
 from curvetorsion.curves import (
+    CertificationError,
     CommonComponentError,
     GeometryError,
     PlaneCurve,
@@ -21,12 +24,14 @@ from curvetorsion.curves import (
 from curvetorsion.fields import QQ, NumberField
 from curvetorsion.homopoly import HomogeneousPoly
 from curvetorsion.parsing import parse_poly
-from curvetorsion.series import eval_form_on_series
+from curvetorsion.series import TruncSeries, eval_form_on_series
 
 
 def form(terms):
     return HomogeneousPoly.from_terms(terms)
 
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_curves"
 
 FERMAT = form({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
 
@@ -128,7 +133,7 @@ def test_local_param_parabola():
     sx, sy, sz = p.chart_series()
     # the branch satisfies the curve to the requested order
     fa = d.equation.linear_change(cl.shear)
-    assert eval_form_on_series(fa, sx, sy, sz).valuation() is None
+    assert eval_form_on_series(fa, cl.theta(), sy).valuation() is None
 
 
 def test_local_param_order_zero_is_center():
@@ -262,6 +267,34 @@ def test_cached_branch_is_truncated_or_relifted_like_a_fresh_lift(geometry_cache
     assert geometry_cache.hits["branches"] == hits + 2
 
 
+def test_a_shorter_cached_branch_is_resumed_like_a_fresh_lift(geometry_cache):
+    e = PlaneCurve(FERMAT, "E")
+    c = curve({(2, 0, 0): 1, (0, 1, 1): 1}, "C")
+    for cl, _ in intersect(e, c, rng_seed=5).clusters:
+        key = (e.equation, cl.x_minpoly, cl.y_rep, cl.shear, cl.base_field)
+        local_param(e, cl, 2)
+        assert len(geometry_cache.branches[key]) == 3  # the prefix the order-9 lift resumes from
+        assert local_param(e, cl, 9).y_coeffs == _fresh(local_param, e, cl, 9).y_coeffs
+        assert len(geometry_cache.branches[key]) == 10
+    prefix = geometry_cache.branches[key]
+    geometry_cache.branches[key] = prefix[:3] + (prefix[3] + 1,)  # a tampered prefix
+    with pytest.raises(CertificationError):
+        local_param(e, cl, 12)
+
+
+def test_order_along_decides_a_multiplicity_at_cap_m():
+    for name in ("fermat_artal_pair.json", "quartic_sextic_tuple.json"):
+        cf = load_curve_file(SAMPLES / name)
+        for spec in cf.decompositions:
+            d = cf.curve(spec.smooth)
+            for part in spec.parts:
+                c = cf.curve(part[0])
+                for cl, m in intersect(d, c).clusters:
+                    assert order_along(d, cl, c.equation, cap=m) == m
+                    assert order_along(d, cl, c.equation, cap=m + 2) == m
+                    assert order_along(d, cl, c.equation, cap=m - 1) is None
+
+
 def test_only_certified_verdicts_are_cached(geometry_cache):
     e = PlaneCurve(FERMAT, "E")
     assert check_smooth(e, trials=0).kind == "unknown"
@@ -294,7 +327,8 @@ def test_order_along_uses_the_rechart_of_a_degenerate_cluster():
     expected = {"x": 2, "y": 1, "z": 0, "x + y": 1, "x*z + y^2": 2, "x^2*z - y^3": 3}
     for text, v in expected.items():
         h = parse_poly(text)
-        along = eval_form_on_series(h, *param.original_series()).valuation()
+        sx, sy, sz = param.original_series()
+        along = h.substitute(sx, sy, sz, TruncSeries.constant(sx.field, sx.order, 1)).valuation()
         assert order_along(d, cl, h, cap=6) == along == v
 
 

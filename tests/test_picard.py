@@ -136,3 +136,15 @@ def test_from_divisor_needs_n_to_divide_every_multiplicity(ctx):
     assert [m for _, m in cls.effective] == [1] and cls.o_multiple == Fraction(1, 3)
     with pytest.raises(PicardError):
         DivisorClass.from_divisor(ctx, divisor, 2)
+
+
+def test_trusted_part_classes_equal_the_merging_constructor(ctx):
+    conic = PlaneCurve(form({(2, 0, 0): 1, (0, 1, 1): 1}), "C")
+    divisor = intersect(ctx.d, conic)
+    for n in (1, 2, 3):
+        cls = DivisorClass.from_divisor(ctx, divisor, 1).scale(n)
+        merged = DivisorClass(ctx, [(cl, m * n) for cl, m in divisor.clusters], 2 * n)
+        assert cls.effective == merged.effective and cls.o_multiple == merged.o_multiple
+    assert DivisorClass.from_divisor(ctx, divisor, 1).scale(0).effective == ()
+    with pytest.raises(PicardError):
+        DivisorClass._trusted(ctx, [(cl, m) for cl, m in divisor.clusters], 1)  # degree 6 != 3

@@ -67,15 +67,22 @@ def case(draw):
     if draw(st.booleans()):  # a chart branch: theta + s, Y(s), 1
         theta = field.gen if field != QQ else draw(small)
         return form, TruncSeries(field, order, [theta, field.one]), series(order + 1), \
-            TruncSeries.constant(field, order, field.one)
-    return form, series(order + 1), series(order + 1), series(order + 1)
+            TruncSeries.constant(field, order, field.one), theta
+    return form, series(order + 1), series(order + 1), series(order + 1), None
+
+
+def evaluate(form, sx, sy, sz, theta):
+    """The chart evaluator on a branch, else Horner on the general series."""
+    if theta is not None:
+        return eval_form_on_series(form, theta, sy)
+    return form.substitute(sx, sy, sz, TruncSeries.constant(sx.field, sx.order, 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case())
 def test_horner_equals_the_power_product_sum(c):
-    form, sx, sy, sz = c
-    got = eval_form_on_series(form, sx, sy, sz)
+    form, sx, sy, sz, theta = c
+    got = evaluate(*c)
     assert got.order == min(sx.order, sy.order, sz.order)
     assert list(got.coeffs) == power_product_sum(form, sx, sy, sz)
 
@@ -85,10 +92,10 @@ def test_zero_form_and_mixed_orders():
     sx = TruncSeries(field, 4, [field.gen, 1])
     sy = TruncSeries(field, 2, [Fraction(1, 2), 3, field.gen])
     sz = TruncSeries.constant(field, 5, 1)
-    zero = eval_form_on_series(HomogeneousPoly.zero(), sx, sy, sz)
+    zero = eval_form_on_series(HomogeneousPoly.zero(), field.gen, sy)
     assert zero.order == 2 and zero.valuation() is None
     f = HomogeneousPoly.from_terms({(2, 1, 0): 1, (0, 0, 3): -2})
-    assert list(eval_form_on_series(f, sx, sy, sz).coeffs) == power_product_sum(f, sx, sy, sz)
+    assert list(eval_form_on_series(f, field.gen, sy).coeffs) == power_product_sum(f, sx, sy, sz)
 
 
 # Representation: integer rows over one denominator, against the plain convolution.
@@ -146,7 +153,7 @@ def test_integer_rows_agree_with_the_plain_convolution(c):
 @settings(max_examples=25, deadline=None)
 @given(case())
 def test_kernel_results_are_normalized(c):
-    assert _normalized(eval_form_on_series(*c))
+    assert _normalized(evaluate(*c))
 
 
 def test_reduction_rows_over_one_denominator():
@@ -159,3 +166,41 @@ def test_reduction_rows_over_one_denominator():
                                                               field.element([Fraction(2, 3), 1])]
     theta = TruncSeries(field, 3, [field.gen, 1])
     assert list((theta * theta).coeffs) == [field.gen * field.gen, 2 * field.gen, field.one, field.zero]
+
+
+@st.composite
+def branch(draw):
+    """A form, theta (the generator, -7/3 or a random element) and the Y
+    series of a branch, over one of the integer-form fields."""
+    field = draw(st.sampled_from(INT_FIELDS))
+    degree = draw(st.integers(min_value=0, max_value=6))
+    coeff_field = draw(st.sampled_from([QQ, field]))
+    terms = {m: draw(sparse_element(coeff_field))
+             for m in draw(st.lists(st.sampled_from(monomials(degree)), max_size=8, unique=True))}
+    form = HomogeneousPoly(coeff_field, degree, terms)  # zero coefficients drop out
+    gen = field.gen if field != QQ else Fraction(5, 2)
+    theta = draw(st.sampled_from([gen, field.coerce(Fraction(-7, 3)), draw(sparse_element(field))]))
+    order = draw(st.integers(min_value=0, max_value=6))
+    ys = draw(st.lists(sparse_element(field), min_size=order + 1, max_size=order + 1))
+    return form, theta, TruncSeries(field, order, ys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(branch())
+def test_taylor_shifted_rows_equal_the_power_product_sum(c):
+    form, theta, sy = c
+    field, order = sy.field, sy.order
+    got = eval_form_on_series(form, theta, sy)
+    sx = TruncSeries(field, order, [theta, field.one])
+    assert got.order == order and _normalized(got)
+    assert list(got.coeffs) == power_product_sum(form, sx, sy, TruncSeries.constant(field, order, 1))
+
+
+def test_taylor_shift_of_the_zero_form_and_a_rational_theta():
+    field = INT_FIELDS[-1]  # reduction rows over R = 21
+    sy = TruncSeries(field, 3, [1, field.gen, 0, Fraction(2, 5)])
+    assert eval_form_on_series(HomogeneousPoly.zero(field), Fraction(1, 6), sy).valuation() is None
+    # x^2 - (1/36) z^2 at (1/6 + s, Y, 1) is s/3 + s^2
+    f = HomogeneousPoly.from_terms({(2, 0, 0): 1, (0, 0, 2): Fraction(-1, 36)})
+    got = eval_form_on_series(f, Fraction(1, 6), sy)
+    assert list(got.coeffs) == [field.zero, field.coerce(Fraction(1, 3)), field.one, field.zero]
