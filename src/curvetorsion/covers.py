@@ -272,13 +272,11 @@ def relation_lattice(dec: Decomposition, max_sweep: int = 10**4) -> RelationLatt
                 continue
             if is_principal(cls).principal:
                 rows.append(list(a))
-    factors, _, _ = smith_normal_form(rows)
-    invariants = tuple(factors[:k]) if len(factors) >= k else tuple(factors) + (0,) * (k - len(factors))
     return RelationLattice(
         n=n,
         k=k,
         generators=tuple(tuple(r) for r in rows),
-        invariant_factors=invariants,
+        invariant_factors=tuple(smith_normal_form(rows)),
         hnf=hermite_normal_form(rows, k),
     )
 

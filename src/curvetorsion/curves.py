@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .fields import QQ, FieldError, NumberField, common_field
 from .homopoly import HomogeneousPoly
-from .linalg import det_int
+from .linalg import det3
 from .qpoly import factor_rational, squarefree_q
 from .series import TruncSeries, eval_form_on_series
 from .unipoly import UniPoly, _zz_resultant, gcd as poly_gcd, squarefree_part
@@ -129,7 +129,7 @@ def draw_shear(rng, bound=4):
         m = tuple(
             tuple(Fraction(rng.randint(-bound, bound)) for _ in range(3)) for _ in range(3)
         )
-        if det_int([[int(c) for c in row] for row in m]) != 0:
+        if det3(m) != 0:
             return m
 
 

@@ -153,9 +153,10 @@ def _cluster_condition_rows(d: PlaneCurve, cluster: ProjPointCluster, need: int,
     One Galois orbit contributes need * (cluster field degree over the base)
     rows: the first coefficients of every monomial along the branch, expanded
     in the power basis of the cluster field.  The monomials are products of
-    power tables of the branch series, kept to the need coefficients read.
+    power tables of the branch series; the branch is lifted to s^(need-1),
+    the last coefficient read.
     """
-    param = local_param(d, cluster, order=need + 1)
+    param = local_param(d, cluster, order=need - 1)
     one = TruncSeries.constant(cluster.field, need - 1, 1)
     tables = []
     for s in param.original_series():

@@ -14,7 +14,7 @@ import pytest
 from curvetorsion import PlaneCurve, certify, relation_lattice
 from curvetorsion.covers import Decomposition, Part, permuted_lattice_hnf
 from curvetorsion.curvefile import load_curve_file
-from curvetorsion.linalg import det_int
+from curvetorsion.linalg import det3
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_curves"
 CUBIC_FILES = [("fermat_artal_pair.json", 11), ("tangent_quadruples.json", 12)]
@@ -23,7 +23,7 @@ CUBIC_FILES = [("fermat_artal_pair.json", 11), ("tangent_quadruples.json", 12)]
 def invertible_matrix(rng):
     while True:
         m = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-        if det_int(m) != 0:
+        if det3(m) != 0:
             return m
 
 

@@ -1,12 +1,14 @@
 """Property-based checks of the exact-arithmetic invariants."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd as igcd, prod
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curvetorsion.fields import QQ
 from curvetorsion.homopoly import HomogeneousPoly, monomials
-from curvetorsion.linalg import det_int, kernel_basis, rank, smith_normal_form
+from curvetorsion.linalg import hermite_normal_form, kernel_basis, row_echelon, smith_normal_form
 from curvetorsion.parsing import parse_poly
 from curvetorsion.qpoly import factor_rational
 from curvetorsion.unipoly import UniPoly, gcd, resultant
@@ -58,29 +60,67 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
 def test_kernel_vectors_annihilate(m):
     nc = len(m[0])
     basis = kernel_basis(m, nc, QQ)
-    assert rank(m, QQ) + len(basis) == nc
+    assert len(row_echelon(m, QQ)[1]) + len(basis) == nc
     for v in basis:
         for row in m:
             assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
 
 
+def minor_gcd(m, i):
+    """gcd of all i x i minors of m, each by the Leibniz formula."""
+
+    def det(a):
+        return sum(
+            (-1) ** sum(p[r] > p[s] for r, s in combinations(range(i), 2))
+            * prod(a[r][p[r]] for r in range(i))
+            for p in permutations(range(i))
+        )
+
+    return igcd(
+        *(
+            det([[m[r][c] for c in cols] for r in rows])
+            for rows in combinations(range(len(m)), i)
+            for cols in combinations(range(len(m[0])), i)
+        )
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices)
-def test_smith_transform_identity(m):
-    factors, left, right = smith_normal_form(m)
-    nr, nc = len(m), len(m[0])
-    assert abs(det_int(left)) == 1 and abs(det_int(right)) == 1
-    lm = [[sum(left[i][k] * m[k][j] for k in range(nr)) for j in range(nc)] for i in range(nr)]
-    lmr = [
-        [sum(lm[i][k] * right[k][j] for k in range(nc)) for j in range(nc)] for i in range(nr)
-    ]
-    for i in range(nr):
-        for j in range(nc):
-            expected = factors[i] if i == j and i < len(factors) else 0
-            assert lmr[i][j] == expected
-    nonzero = [f for f in factors if f]
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
+@example([[2, 0], [0, 2], [1, 1]])
+@example([[2, 0], [0, 2]])
+@example([[6]])
+def test_smith_factors_are_ratios_of_minor_gcds(m):
+    factors = smith_normal_form(m)
+    assert len(factors) == min(len(m), len(m[0]))
+    for i in range(1, len(factors) + 1):
+        assert prod(factors[:i]) == minor_gcd(m, i)
+    for a, b in zip(factors, factors[1:]):
+        assert a >= 0 and (b % a == 0 if a else b == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices)
+def test_hermite_form_is_canonical_and_spans_the_rows(m):
+    nc = len(m[0])
+    h = hermite_normal_form(m, nc)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in h]
+    assert pivots == sorted(set(pivots))
+    for r, c in enumerate(pivots):
+        assert h[r][c] > 0
+        assert all(0 <= h[above][c] < h[r][c] for above in range(r))
+    # integer back-substitution reduces every input row to zero
+    for row in m:
+        v = list(row)
+        for hr, c in zip(h, pivots):
+            assert all(x == 0 for x in v[:c]) and v[c] % hr[c] == 0
+            q = v[c] // hr[c]
+            v = [a - q * b for a, b in zip(v, hr)]
+        assert not any(v)
+    rank = max((i for i in range(1, min(len(m), nc) + 1) if minor_gcd(m, i)), default=0)
+    assert len(h) == rank
+    if rank == nc:
+        assert prod(hr[c] for hr, c in zip(h, pivots)) == minor_gcd(m, nc)
 
 
 def hpoly(degree):
