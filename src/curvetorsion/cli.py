@@ -395,6 +395,8 @@ INPUT_ERRORS = (
     FileNotFoundError,
     IsADirectoryError,
 )
+# A tower is refused up front (NonRationalPointError, an input error), and a
+# generic shear avoids every other rejection reason, so exhausting them is internal.
 INTERNAL_ERRORS = (CertificationError, ShearExhaustedError, ConstructionError)
 
 

@@ -7,7 +7,8 @@ shear, plus a polynomial expression for the other affine coordinate.  All
 multiplicities are exact; every divisor satisfies the Bezout total.
 
 The same machinery runs over a number field base when every intersection
-point is rational over that field (towers of extensions are not supported).
+point is rational over that field; a point that needs a tower of extensions
+is refused as NonRationalPointError.
 
 `intersect`, `check_smooth` and `local_param` are pure functions of their
 inputs; inside a `GeometryCache` scope their certified results are reused.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import contextvars
 import random
+from collections import Counter
 from fractions import Fraction
 
 from .fields import QQ, FieldError, NumberField, common_field
@@ -37,6 +39,11 @@ class CommonComponentError(GeometryError):
 
 class ShearExhaustedError(GeometryError):
     pass
+
+
+class NonRationalPointError(GeometryError):
+    """An intersection point over a number-field base is not rational over it,
+    so its cluster would need a tower of extensions; no shear avoids that."""
 
 
 class ChartDegeneracyError(GeometryError):
@@ -373,9 +380,21 @@ def _slice(f, i):
     return {(e[i], e[0]): c for e, c in f.terms.items()}
 
 
-def _fiber_gcd(fa, ga, theta):
-    """gcd in y of the two forms on the chart line x = theta, z = 1."""
-    return poly_gcd(fa.fiber(1, (theta, None, 1)), ga.fiber(1, (theta, None, 1)))
+def _root_point(p, s1, c):
+    """(theta's field, theta, y0) for a root theta of the monic factor p of the
+    resultant: y0 = -c(theta)/s1(theta) from the degree-1 subresultant
+    S_1 = s1(x) y + c(x), one reduction modulo p and one inverse.  y0 is None
+    when s1(theta) = 0, where the fiber gcd has degree >= 2."""
+    if p.degree == 1:
+        work_field, theta = p.field, -p.coeffs[0]
+        s_th, c_th = s1.eval(theta), c.eval(theta)
+    else:
+        work_field = NumberField(p.coeffs, symbol="r", trusted=True)
+        theta = work_field.gen
+        s_th, c_th = (work_field.element((q % p).coeffs) for q in (s1, c))
+    if work_field.is_zero(s_th):
+        return work_field, theta, None
+    return work_field, theta, -(c_th / s_th)
 
 
 def _factor_base(r: UniPoly):
@@ -397,7 +416,9 @@ def intersect(d: PlaneCurve, c: PlaneCurve, rng_seed: int = 0, max_shears: int =
     one bivariate resultant over the integers (`unipoly._zz_resultant`); each
     irreducible factor of multiplicity m yields one cluster of local
     multiplicity m, cross-checked afterwards by an independent valuation
-    computation.
+    computation.  The y-coordinates come from S_1 of the same chain (see
+    `_root_point`).  Over a number-field base a factor of degree > 1 raises
+    NonRationalPointError at once.
     """
     key = (d.equation, c.equation, rng_seed, max_shears)
     field = common_field(d.field, c.field)
@@ -425,62 +446,52 @@ def _intersect_by_shears(d, c, rng_seed, max_shears):
         raise CommonComponentError("curves share a component")
     d0, d1 = d.degree, c.degree
     rng = random.Random(rng_seed)
-    last_reason = ""
+    rejected = Counter()
     for attempt in range(max_shears):
         shear = IDENTITY_SHEAR if attempt == 0 else draw_shear(rng)
         fa = _shear_polys(d.equation, shear)
         ga = _shear_polys(c.equation, shear)
         if field.is_zero(fa.coeff((0, d0, 0))):
-            last_reason = "projection center on D"
+            rejected["projection center on D"] += 1
             continue
         if field.is_zero(ga.coeff((0, d1, 0))):
-            last_reason = "projection center on C"
+            rejected["projection center on C"] += 1
             continue
-        r = _zz_resultant(_slice(fa, 1), _slice(ga, 1), field)
+        r, s1, c0 = _zz_resultant(_slice(fa, 1), _slice(ga, 1), field, keep_s1=True)
         if r.is_zero():
             raise CommonComponentError("curves share a component (vanishing resultant)")
         if r.degree != d0 * d1:
-            last_reason = "intersection point outside the affine chart"
+            rejected["intersection point outside the affine chart"] += 1
             continue
         _, factors = _factor_base(r)
+        if field != QQ and any(p.degree > 1 for p, _ in factors):
+            raise NonRationalPointError(
+                "nonrational point over a number field base: an intersection point "
+                "needs a further extension of the base field"
+            )
         clusters = []
-        ok = True
         fy = fa.diff(1)
         for p, mult in factors:
-            if p.degree == 1:
-                theta = -(p.coeffs[0])
-                work_field = field
-            elif field == QQ:
-                work_field = NumberField(p.coeffs, symbol="r", trusted=True)
-                theta = work_field.gen
-            else:
-                ok, last_reason = False, "nonrational point over a number field base"
+            work_field, theta, y0 = _root_point(p, s1, c0)
+            if y0 is None:
+                rejected["two intersection points share an x-coordinate"] += 1
                 break
-            g = _fiber_gcd(fa, ga, theta)
-            if g.degree != 1:
-                ok, last_reason = False, "two intersection points share an x-coordinate"
+            if work_field.is_zero(fy.eval((theta, y0, 1))):
+                rejected["vertical tangent chart on D"] += 1
                 break
-            y0 = -(g.coeffs[0] / g.coeffs[1])
-            fy_val = fy.eval((theta, y0, 1))
-            if work_field.is_zero(fy_val):
-                ok, last_reason = False, "vertical tangent chart on D"
-                break
-            if p.degree == 1:
-                y_rep = UniPoly(field, [y0])
-            else:
-                y_rep = UniPoly(QQ, list(y0.coords))
+            y_rep = UniPoly(field, [y0]) if p.degree == 1 else UniPoly(QQ, list(y0.coords))
             clusters.append((ProjPointCluster(field, p, y_rep, shear), mult))
-        if not ok:
-            continue
-        divisor = IntersectionDivisor(d, c, clusters, shear)
-        for cl, m in divisor.clusters:
-            v = order_along(d, cl, c.equation, cap=m)
-            if v != m:
-                raise CertificationError(
-                    f"multiplicity cross-check failed: resultant says {m}, valuation says {v}"
-                )
-        return divisor
-    raise ShearExhaustedError(f"no good shear found in {max_shears} attempts ({last_reason})")
+        else:
+            divisor = IntersectionDivisor(d, c, clusters, shear)
+            for cl, m in divisor.clusters:
+                v = order_along(d, cl, c.equation, cap=m)
+                if v != m:
+                    raise CertificationError(
+                        f"multiplicity cross-check failed: resultant says {m}, valuation says {v}"
+                    )
+            return divisor
+    reasons = ", ".join(f"{reason}: {n}" for reason, n in rejected.most_common())
+    raise ShearExhaustedError(f"no good shear found in {max_shears} attempts ({reasons})")
 
 
 class LocalParam:

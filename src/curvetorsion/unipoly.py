@@ -9,9 +9,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from sympy.polys.densebasic import dmp_from_dict
+from sympy.polys.densearith import dmp_exquo, dmp_mul
+from sympy.polys.densebasic import dmp_degree, dmp_from_dict, dmp_zero
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_resultant
+from sympy.polys.euclidtools import dmp_inner_subresultants
 
 from .fields import QQ, AlgNum, FieldError, common_field, power
 
@@ -240,26 +241,51 @@ def resultant(p: UniPoly, q: UniPoly):
     return r.coeffs[0] if r.coeffs else field.zero
 
 
-def _zz_resultant(f, g, field):
+def _zz_resultant(f, g, field, keep_s1=False):
     """Res_v(f, g) as a UniPoly in x over the field, by subresultants over ZZ.
 
     f and g map exponent pairs (i, j) of v^i x^j to elements of the field
     (Q or a NumberField).  Denominators are cleared and, over a number field,
     the power-basis coordinates of each coefficient become one more integer
-    variable t; sympy's `dmp_resultant` eliminates v over ZZ[x, t], and the
-    result is scaled back and reduced mod the minimal polynomial.  Both steps
-    are ring maps, so this is the Sylvester determinant over the field.
+    variable t; sympy's `dmp_inner_subresultants` (the chain behind
+    `dmp_prs_resultant` and `dmp_resultant`) eliminates v over ZZ[x, t], and
+    the result is scaled back and reduced mod the minimal polynomial.  Both
+    steps are ring maps, so this is the Sylvester determinant over the field.
+
+    `intersect` passes keep_s1=True and gets (resultant, s_1, c): the
+    degree-1 subresultant S_1 = s_1(x) v + c(x) of the same chain, up to a
+    nonzero constant (both zero when S_1 has no v term).  The discriminant of
+    `check_smooth`, norms and `resultant` only read the resultant.
     """
     fz, lf, nf = _lift_to_zz(f, field)
     gz, lg, ng = _lift_to_zz(g, field)
     sign = 1
     if nf < ng:
-        # dmp_resultant is off by (-1)^(nf*ng) unless the first argument has
-        # the higher degree; Res(f, g) = (-1)^(nf*ng) Res(g, f).
+        # the chain puts the higher degree first, which changes the sign of
+        # the resultant by (-1)^(nf*ng): Res(f, g) = (-1)^(nf*ng) Res(g, f).
         fz, gz, sign = gz, fz, (-1) ** (nf * ng)
     u = 1 if field == QQ else 2
-    r = dmp_resultant(dmp_from_dict(fz, u, ZZ), dmp_from_dict(gz, u, ZZ), u, ZZ)
-    scale = Fraction(sign, lf**ng * lg**nf)
+    fd, gd = dmp_from_dict(fz, u, ZZ), dmp_from_dict(gz, u, ZZ)
+    chain, psc = dmp_inner_subresultants(fd, gd, u, ZZ) if fz and gz else ([], [])
+    r = psc[-1] if chain and dmp_degree(chain[-1], u) == 0 else dmp_zero(u - 1)
+    res = _from_zz(r, field, Fraction(sign, lf**ng * lg**nf))
+    if not keep_s1:
+        return res
+    s1 = c = dmp_zero(u - 1)  # no member of degree 1: S_1 is 0 or constant in v
+    member = next((k for k, m in enumerate(chain) if dmp_degree(m, u) == 1), None)
+    if member == 0:  # two lines: S_1 is not defined, f itself is the gcd
+        s1, c = chain[0]
+    elif member is not None:
+        # Each member is similar to the regular subresultant of its degree,
+        # whose leading coefficient is the member's psc (Brown-Traub), so
+        # S_1 = psc / lead * member, exactly in ZZ[x, t].
+        (lead, tail), s1 = chain[member], psc[member]
+        c = dmp_exquo(dmp_mul(s1, tail, u - 1, ZZ), lead, u - 1, ZZ)
+    return res, _from_zz(s1, field), _from_zz(c, field)
+
+def _from_zz(r, field, scale=1):
+    """An integer polynomial in x (and t over a number field) times scale,
+    as a UniPoly in x over the field."""
     if field == QQ:
         return UniPoly(field, [c * scale for c in reversed(r)])
     return UniPoly(field, [field.from_poly_coeffs([c * scale for c in reversed(ts)]) for ts in reversed(r)])

@@ -171,8 +171,8 @@ def test_verify_type_over_number_field():
 
 def test_number_field_tower_rejected():
     # intersection points generating a further extension of the base field
-    # are refused with a shear-search failure naming the reason
-    from curvetorsion.curves import ShearExhaustedError, intersect
+    # are refused as an input error naming the reason
+    from curvetorsion.curves import NonRationalPointError, intersect
     from curvetorsion.fields import NumberField
     from curvetorsion.homopoly import HomogeneousPoly
 
@@ -182,6 +182,6 @@ def test_number_field_tower_rejected():
     fermat = PlaneCurve(
         HomogeneousPoly.from_terms({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}), "E"
     )
-    with pytest.raises(ShearExhaustedError) as e:
+    with pytest.raises(NonRationalPointError) as e:
         intersect(line, fermat, max_shears=3)
     assert "nonrational point over a number field base" in str(e.value)
