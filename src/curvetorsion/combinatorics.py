@@ -4,7 +4,10 @@ The encoding is the restricted one adequate for arrangements whose only
 singularities are meetings of smooth branches: per singular point we record
 which components pass through and every pairwise local intersection
 multiplicity.  Conjugate points of one Galois orbit become that many
-identical combinatorial points.
+identical combinatorial points.  The points come from pairwise `intersect`
+over one field for every arrangement: over Q any orbits are allowed; over a
+number field K any number of components of any degree are allowed, but every
+intersection point must be K-rational.
 
 Certification composes the whole pipeline: equal combinatorics, admissibility
 of every equivalence map, then the torsion criteria in increasing strength
@@ -18,10 +21,8 @@ from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
 from .covers import CoverError, Decomposition, permuted_lattice_hnf, relation_lattice
-from .curves import GeometryError, PlaneCurve, check_smooth, intersect, normalize_point
+from .curves import GeometryError, PlaneCurve, check_smooth, intersect, same_points
 from .fields import QQ
-from .linalg import cross3, kernel_basis
-from .unipoly import squarefree_decomposition
 
 
 class CombinatoricsError(GeometryError):
@@ -74,16 +75,27 @@ class AdmissibleSet:
 
 
 def comb_type(components, rng_seed: int = 0) -> CombType:
-    """Combinatorial type of an arrangement of certified-smooth components."""
+    """Combinatorial type of an arrangement of certified-smooth components.
+
+    Components over Q move to the one number field K of the others, so a
+    point met by several pairs merges into one record.  Over K any number of
+    components of any degree are allowed, but every intersection point must
+    be K-rational (else NonRationalPointError).
+    """
     comps = list(components)
     if not comps:
         raise CombinatoricsError("empty arrangement")
     for c in comps:
         _require_smooth(c)
-    if all(c.field == QQ for c in comps):
-        records = _points_over_q(comps, rng_seed)
-    else:
-        records = _points_over_nf(comps)
+    fields = {c.field for c in comps} - {QQ}
+    if len(fields) > 1:
+        raise CombinatoricsError("components must share a single number field")
+    field = fields.pop() if fields else QQ
+    comps = [
+        c if c.field == field else PlaneCurve(c.equation.to_field(field), c.name, check_reduced=False)
+        for c in comps
+    ]
+    records = _points(comps, rng_seed)
     _check_bezout(comps, records)
     points = []
     for rec in records:
@@ -104,10 +116,8 @@ def _require_smooth(c: PlaneCurve):
         )
 
 
-def _points_over_q(comps, rng_seed):
+def _points(comps, rng_seed):
     """Group pairwise intersection clusters into points of the union."""
-    from .curves import same_points
-
     registry = []  # [cluster, orbit_size, incident set, {(i,j): m}]
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
@@ -127,96 +137,6 @@ def _points_over_q(comps, rng_seed):
         out.append(
             PointRecord(frozenset(incident), tuple(sorted(pm.items())), orbit_size=size)
         )
-    return out
-
-
-def _points_over_nf(comps):
-    """Arrangement over one number field with every singular point rational.
-
-    Supported shape: any number of lines plus at most one curve of higher
-    degree, which covers inflection-tangent arrangements split into their
-    geometric components.
-    """
-    fields = {c.field for c in comps if c.field != QQ}
-    if len(fields) != 1:
-        raise CombinatoricsError("components must share a single number field")
-    K = fields.pop()
-    work = [c.equation.to_field(K) for c in comps]
-    big = [i for i, c in enumerate(comps) if c.degree > 1]
-    if len(big) > 1:
-        raise CombinatoricsError(
-            "number field arrangements support at most one component of degree > 1"
-        )
-    registry = []  # [normalized point, incident set, {(i,j): m}]
-
-    def record(pt, i, j, mult):
-        for entry in registry:
-            if entry[0] == pt:
-                entry[1].update((i, j))
-                entry[2][(i, j)] = mult
-                return
-        registry.append([pt, {i, j}, {(i, j): mult}])
-
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            a, b = work[i], work[j]
-            if a.degree == 1 and b.degree == 1:
-                pt = cross3(_line_coeffs(a, K), _line_coeffs(b, K))
-                if all(c == 0 for c in pt):
-                    raise CombinatoricsError("two line components coincide")
-                record(normalize_point(pt, K), i, j, 1)
-            else:
-                line, other = (a, b) if a.degree == 1 else (b, a)
-                for pt, mult in _line_section_nf(line, other, K):
-                    record(pt, i, j, mult)
-    return [
-        PointRecord(frozenset(inc), tuple(sorted(pm.items())), orbit_size=1)
-        for _, inc, pm in registry
-    ]
-
-
-def _line_coeffs(line, K):
-    return (
-        K.coerce(line.coeff((1, 0, 0))),
-        K.coerce(line.coeff((0, 1, 0))),
-        K.coerce(line.coeff((0, 0, 1))),
-    )
-
-
-def _line_section_nf(line, other, K):
-    """Intersection points of a line with a curve, all rational over K."""
-    coeffs = _line_coeffs(line, K)
-    basis = kernel_basis([list(coeffs)], 3, K)
-    if len(basis) != 2:
-        raise CombinatoricsError("degenerate line")
-    a, b = basis
-    candidates = [a, b, tuple(x + y for x, y in zip(a, b)), tuple(x - y for x, y in zip(a, b))]
-    span = None
-    for cand in candidates:
-        if not K.is_zero(other.eval(cand)):
-            span = (cand, b if cand != b else a)
-            break
-    if span is None:
-        raise CombinatoricsError("line appears to be contained in the curve")
-    A, B = span
-    if A == B:
-        raise CombinatoricsError("bad line basis")
-    from .curves import _restrict_to_line
-
-    t = _restrict_to_line(other, A, B)
-    if t.degree != other.degree:
-        raise CombinatoricsError("line restriction lost degree")
-    out = []
-    for w, mult in squarefree_decomposition(t):
-        if w.degree != 1:
-            raise CombinatoricsError(
-                "intersection point is not rational over the declared field"
-            )
-        u0 = -(w.coeffs[0] / w.coeffs[1])
-        pt = tuple(u0 * x + y for x, y in zip(A, B))
-        out.append((normalize_point(pt, K), mult))
-    if sum(m for _, m in out) != other.degree:
-        raise CombinatoricsError("line section multiplicities do not sum to the degree")
     return out
 
 

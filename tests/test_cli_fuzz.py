@@ -2,8 +2,9 @@
 
 Copies of two sample files are damaged one way each: a key is dropped, a
 value's JSON type is swapped, a polynomial string is truncated, or a name
-reference is broken.  `torsion` and `intersect` on the copy must exit 0, 2,
-3 or 4, print no traceback, and let no exception leave `cli.main`.
+reference is broken.  `torsion` and `intersect` on the copy, and `certify`
+on the copy of the one sample file with a number field, must exit 0, 2, 3 or
+4, print no traceback, and let no exception leave `cli.main`.
 """
 
 import contextlib
@@ -18,10 +19,14 @@ from hypothesis import given, settings, strategies as st
 from curvetorsion.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_curves"
-# file -> (decomposition for torsion, the two curves for intersect)
+# file -> the commands run on its damaged copies, without the file argument
 SOURCES = {
-    "fermat_artal_pair.json": ("collinear", "E", "T1"),
-    "tangent_quadruples.json": ("equal-classes", "E", "L11"),
+    "fermat_artal_pair.json": (
+        ("torsion", "collinear"),
+        ("intersect", "E", "T1"),
+        ("certify", "collinear", "noncollinear"),
+    ),
+    "tangent_quadruples.json": (("torsion", "equal-classes"), ("intersect", "E", "L11")),
 }
 ORIGINALS = {name: json.loads((SAMPLES / name).read_text()) for name in SOURCES}
 OTHER_TYPE_VALUES = [None, True, 0, 2.5, "", "x", [], [1], {}, {"a": 1}]
@@ -91,12 +96,12 @@ def run_cli(argv):
 def test_damaged_files_keep_the_exit_code_contract(source, mutate, data):
     doc = json.loads(json.dumps(ORIGINALS[source]))
     mutate(doc, data.draw)
-    decomposition, d, c = SOURCES[source]
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(doc, fh)
-        for argv in (["torsion", path, decomposition], ["intersect", path, d, c]):
+        for command, *names in SOURCES[source]:
+            argv = [command, path, *names]
             code, err = run_cli(argv)
             assert code in (0, 2, 3, 4), (argv[0], code, err)
             assert "Traceback" not in err
